@@ -21,29 +21,17 @@
 
 use crate::context::CrowdContext;
 use crate::error::{Error, Result};
-use crate::hash::{hash_value, hex};
+use crate::hash::RowHashes;
+use crate::pipeline::{run_chunks, ChunkRow, Stage};
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
-use reprowd_platform::types::{TaskId, TaskSpec};
+use reprowd_platform::types::TaskId;
 use reprowd_quality::{
     majority_vote_matrix, weighted_majority_vote_matrix, DawidSkene, DsConfig, OneCoin,
     OneCoinConfig, TiePolicy, VoteMatrix, WorkerId,
 };
 use std::collections::{BTreeMap, HashMap};
-
-/// Enforces the bulk-endpoint contract ("all-or-nothing, results in
-/// request order"): a platform answering a bulk call with the wrong
-/// cardinality would otherwise silently leave tail rows unpersisted.
-pub(crate) fn check_bulk_len(op: &str, got: usize, requested: usize) -> Result<()> {
-    if got != requested {
-        return Err(Error::State(format!(
-            "platform bulk contract violated: {op} returned {got} items for a \
-             batch of {requested}"
-        )));
-    }
-    Ok(())
-}
 
 /// One row of a CrowdData table.
 #[derive(Debug, Clone)]
@@ -116,7 +104,6 @@ pub struct CrowdData {
     /// distinct from "step 1 never happened").
     data_set: bool,
     presenter: Option<Presenter>,
-    n_assignments: Option<u32>,
     stats: RunStats,
 }
 
@@ -130,7 +117,6 @@ impl CrowdData {
             rows: Vec::new(),
             data_set: false,
             presenter: None,
-            n_assignments: None,
             stats: RunStats::default(),
         }
     }
@@ -142,25 +128,21 @@ impl CrowdData {
     /// Duplicate objects are legal; each occurrence becomes its own row
     /// (and its own task) with a stable `-k` suffix on the content hash.
     pub fn data(mut self, objects: Vec<Value>) -> Result<Self> {
-        self.rows = Self::rows_from_objects(objects);
-        self.data_set = true;
-        Ok(self)
+        self.rows.clear();
+        self.extend_data(objects)
     }
 
     /// Appends objects to the existing rows (Ally's Figure 3 move: extend
     /// the experiment; only the new rows will be crowdsourced).
     pub fn extend_data(mut self, objects: Vec<Value>) -> Result<Self> {
         self.data_set = true;
-        let mut occurrences: HashMap<u64, usize> = HashMap::new();
+        self.rows.reserve(objects.len());
+        let mut hashes = RowHashes::default();
         for row in &self.rows {
-            let h = hash_value(&row.object);
-            *occurrences.entry(h).or_insert(0) += 1;
+            hashes.next(&row.object);
         }
         for object in objects {
-            let h = hash_value(&object);
-            let occ = occurrences.entry(h).or_insert(0);
-            let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-            *occ += 1;
+            let hash = hashes.next(&object);
             self.rows.push(Row {
                 index: self.rows.len(),
                 hash,
@@ -171,21 +153,6 @@ impl CrowdData {
             });
         }
         Ok(self)
-    }
-
-    fn rows_from_objects(objects: Vec<Value>) -> Vec<Row> {
-        let mut occurrences: HashMap<u64, usize> = HashMap::new();
-        objects
-            .into_iter()
-            .enumerate()
-            .map(|(index, object)| {
-                let h = hash_value(&object);
-                let occ = occurrences.entry(h).or_insert(0);
-                let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-                *occ += 1;
-                Row { index, hash, object, task: None, result: None, derived: BTreeMap::new() }
-            })
-            .collect()
     }
 
     // ---------------------------------------------------------- step 2
@@ -247,110 +214,62 @@ impl CrowdData {
             return Err(Error::State("n_assignments must be positive".into()));
         }
         let fp = presenter.fingerprint();
-        if self.n_assignments.is_none() {
-            self.n_assignments = Some(n_assignments);
-        }
         if self.manifest.n_assignments != Some(n_assignments) {
             self.manifest.n_assignments = Some(n_assignments);
             self.save_manifest()?;
         }
 
-        // Pass 1: serve cache hits; remember the rows that genuinely need
-        // the crowd, along with the cache key each will be stored under.
-        let mut misses: Vec<(usize, String)> = Vec::new();
-        for i in 0..self.rows.len() {
-            if self.rows[i].task.is_some() {
+        // Serial cache pass: serve cache hits; the rows that genuinely need
+        // the crowd go to the engine's publish stage.
+        let mut misses = Vec::new();
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if row.task.is_some() {
                 continue;
             }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &self.rows[i].hash);
+            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &row.hash);
             if let Some(cached) = self.ctx.store().tasks.get(key.as_bytes())? {
-                self.rows[i].task = Some(cached);
+                row.task = Some(cached);
                 self.stats.tasks_reused += 1;
                 continue;
             }
-            misses.push((i, key));
+            let object = std::mem::replace(&mut row.object, Value::Null);
+            misses.push(ChunkRow::new(i, key, object, n_assignments));
         }
         if misses.is_empty() {
             // Fully cached: zero platform traffic, the sharable guarantee.
             return Ok(self);
         }
-
-        // Pass 2: bulk-publish the misses, one batch per round-trip.
-        let pid = self.ensure_project(&presenter)?;
-        let work: Vec<(usize, String, u32)> =
-            misses.into_iter().map(|(i, key)| (i, key, n_assignments)).collect();
-        let published = self.bulk_publish(&presenter, pid, &work)?;
-        self.stats.tasks_published += published.len() as u64;
+        self.run(&presenter, Stage::Publish, misses, restore)?;
         Ok(self)
     }
 
-    /// Bulk-publishes `work` — `(row index, cache key, redundancy)` — in
-    /// batches of the context's batch size, with up to
-    /// [`inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
-    /// batch round-trips in flight at once (see [`crate::pipeline`]): the
-    /// platform still observes the batches strictly in order (the issue
-    /// gate serializes their effects), and each batch's atomic database
-    /// write commits strictly in batch order, so results and the store
-    /// are bit-identical to sequential execution at every depth. Sets each
-    /// row's task cell and returns the published `(row index, task id)`
-    /// pairs in input order. Shared by `publish` and `collect`'s lost-task
-    /// republish path, so both always follow the same contract.
-    fn bulk_publish(
+    /// Runs `rows` through one engine stage (see [`crate::pipeline`]),
+    /// handing each committed row to `sink` in order, and folds the run's
+    /// accounting into this instance's [`RunStats`].
+    fn run(
         &mut self,
         presenter: &Presenter,
-        pid: u64,
-        work: &[(usize, String, u32)],
-    ) -> Result<Vec<(usize, TaskId)>> {
-        let rows = &self.rows;
-        let ctx = &self.ctx;
-        let mut cells: Vec<(usize, StoredTask)> = Vec::with_capacity(work.len());
-        crate::pipeline::run_chunked(
-            ctx.exec().inflight_batches(),
-            ctx.exec().batch_size(),
-            work,
-            |slot, chunk: &[(usize, String, u32)], gate| {
-                let specs: Vec<TaskSpec> = chunk
-                    .iter()
-                    .map(|&(i, _, n)| TaskSpec {
-                        payload: presenter.render(&rows[i].object),
-                        n_assignments: n,
-                    })
-                    .collect();
-                let tasks = ctx.platform().publish_tasks_pipelined(pid, specs, gate, slot)?;
-                check_bulk_len("publish_tasks", tasks.len(), chunk.len())?;
-                Ok(tasks)
-            },
-            |chunk, tasks| {
-                ctx.exec().metrics().record_publish(chunk.len() as u64);
-                let stored: Vec<(String, StoredTask)> = chunk
-                    .iter()
-                    .zip(tasks)
-                    .map(|(&(i, ref key, n), task)| {
-                        let cell = StoredTask {
-                            task,
-                            object: rows[i].object.clone(),
-                            n_assignments: n,
-                        };
-                        (key.clone(), cell)
-                    })
-                    .collect();
-                ctx.store().put_task_batch(&stored)?;
-                for (&(i, _, _), (_, cell)) in chunk.iter().zip(stored) {
-                    cells.push((i, cell));
-                }
+        stage: Stage,
+        rows: Vec<ChunkRow>,
+        mut sink: impl FnMut(&mut [Row], ChunkRow),
+    ) -> Result<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let table = &mut self.rows;
+        let report = run_chunks(
+            &self.ctx,
+            &mut self.manifest,
+            presenter,
+            &[stage],
+            rows.into_iter().map(Ok),
+            |chunk| {
+                chunk.into_iter().for_each(|row| sink(table, row));
                 Ok(())
             },
         )?;
-        let mut published = Vec::with_capacity(cells.len());
-        for (i, cell) in cells {
-            published.push((i, cell.task.id));
-            self.rows[i].task = Some(cell);
-        }
-        Ok(published)
-    }
-
-    fn ensure_project(&mut self, presenter: &Presenter) -> Result<u64> {
-        crate::pipeline::ensure_project(&self.ctx, &mut self.manifest, presenter)
+        self.stats += report.stats;
+        Ok(())
     }
 
     // ---------------------------------------------------------- step 4
@@ -383,114 +302,48 @@ impl CrowdData {
             .clone()
             .ok_or_else(|| Error::State("collect before presenter".into()))?;
         let fp = presenter.fingerprint();
-        // Cache pass: serve cached results; remember candidate rows
-        // (index, cache key, task id, redundancy) that need the platform.
-        let mut candidates: Vec<(usize, String, TaskId, u32)> = Vec::new();
-        for i in 0..self.rows.len() {
-            if self.rows[i].result.is_some() {
+        // Serial cache pass: serve cached results; the remaining rows are
+        // candidates for the platform.
+        let mut candidates = Vec::new();
+        for (i, row) in self.rows.iter_mut().enumerate() {
+            if row.result.is_some() {
                 continue;
             }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &self.rows[i].hash);
+            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &row.hash);
             if let Some(cached) = self.ctx.store().results.get(key.as_bytes())? {
-                self.rows[i].result = Some(cached);
+                row.result = Some(cached);
                 self.stats.results_reused += 1;
                 continue;
             }
-            let Some(stored) = self.rows[i].task.as_ref() else {
+            let Some(task) = row.task.take() else {
                 return Err(Error::State(format!(
                     "collect before publish: row {i} has no task"
                 )));
             };
-            candidates.push((i, key, stored.task.id, stored.n_assignments));
+            let object = std::mem::replace(&mut row.object, Value::Null);
+            let mut candidate = ChunkRow::new(i, key, object, task.n_assignments);
+            candidate.task = Some(task);
+            candidates.push(candidate);
         }
 
-        // Status pass: one bulk probe per batch tells us which tasks the
-        // platform still knows (a platform restart loses tasks — distinct
-        // from a client crash, whose state lives in our database). Probes
-        // are read-only, so batches pipeline like every other phase.
-        let mut pending: Vec<(usize, TaskId)> = Vec::new();
-        let mut lost: Vec<(usize, String, u32)> = Vec::new();
-        {
-            let ctx = &self.ctx;
-            crate::pipeline::run_chunked(
-                ctx.exec().inflight_batches(),
-                ctx.exec().batch_size(),
-                &candidates,
-                |slot, chunk: &[(usize, String, TaskId, u32)], gate| {
-                    let ids: Vec<TaskId> = chunk.iter().map(|&(_, _, id, _)| id).collect();
-                    let statuses = ctx.platform().are_complete_pipelined(&ids, gate, slot)?;
-                    check_bulk_len("are_complete", statuses.len(), chunk.len())?;
-                    Ok(statuses)
-                },
-                |chunk, statuses| {
-                    ctx.exec().metrics().record_probe(chunk.len() as u64);
-                    for ((i, key, id, n), status) in chunk.iter().cloned().zip(statuses) {
-                        match status {
-                            Some(_) => pending.push((i, id)),
-                            None => lost.push((i, key, n)),
-                        }
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-
-        // Batch-republish rows whose tasks the platform lost.
-        if !lost.is_empty() {
-            let pid = self.ensure_project(&presenter)?;
-            let republished = self.bulk_publish(&presenter, pid, &lost)?;
-            self.stats.tasks_republished += republished.len() as u64;
-            pending.extend(republished);
-        }
-
+        // Probe: which tasks does the platform still know? A platform
+        // restart loses tasks — distinct from a client crash, whose state
+        // lives in our database. Lost tasks are republished in batches.
+        let (mut lost, mut pending) = (Vec::new(), Vec::with_capacity(candidates.len()));
+        self.run(&presenter, Stage::Probe, candidates, |_, row| {
+            if row.lost { lost.push(row) } else { pending.push(row) }
+        })?;
+        self.run(&presenter, Stage::Publish, lost, |_, row| pending.push(row))?;
         if pending.is_empty() {
             return Ok(self);
         }
-        let ids: Vec<TaskId> = pending.iter().map(|&(_, id)| id).collect();
+        let ids: Vec<TaskId> =
+            pending.iter().map(|r| r.task.as_ref().expect("pending row has a task").task.id).collect();
         self.ctx.platform().run_until_complete(&ids)?;
-        // Fetch pass: read-only bulk fetches pipeline with up to `depth`
-        // batches in flight; each batch's atomic result write commits in
-        // batch order, so a crash still leaves a clean batch prefix and
-        // re-fetches at most the batches that were in flight.
-        let mut cells: Vec<(usize, StoredResult)> = Vec::with_capacity(pending.len());
-        {
-            let ctx = &self.ctx;
-            let rows = &self.rows;
-            let name = &self.manifest.name;
-            crate::pipeline::run_chunked(
-                ctx.exec().inflight_batches(),
-                ctx.exec().batch_size(),
-                &pending,
-                |slot, chunk: &[(usize, TaskId)], gate| {
-                    let chunk_ids: Vec<TaskId> = chunk.iter().map(|&(_, id)| id).collect();
-                    let runs_per_task =
-                        ctx.platform().fetch_runs_bulk_pipelined(&chunk_ids, gate, slot)?;
-                    check_bulk_len("fetch_runs_bulk", runs_per_task.len(), chunk.len())?;
-                    Ok(runs_per_task)
-                },
-                |chunk, runs_per_task| {
-                    ctx.exec().metrics().record_fetch(chunk.len() as u64);
-                    let stored: Vec<(String, StoredResult)> = chunk
-                        .iter()
-                        .zip(runs_per_task)
-                        .map(|(&(i, _), runs)| {
-                            let key = ExperimentStore::row_key(name, &fp, &rows[i].hash);
-                            (key, StoredResult { runs })
-                        })
-                        .collect();
-                    // One atomic write per batch, in batch order.
-                    ctx.store().put_result_batch(&stored)?;
-                    for (&(i, _), (_, cell)) in chunk.iter().zip(stored) {
-                        cells.push((i, cell));
-                    }
-                    Ok(())
-                },
-            )?;
-        }
-        for (i, cell) in cells {
-            self.rows[i].result = Some(cell);
-            self.stats.results_collected += 1;
-        }
+        // Fetch: each batch's atomic result write commits in batch order, so
+        // a crash leaves a clean batch prefix and re-fetches at most the
+        // batches that were in flight.
+        self.run(&presenter, Stage::Fetch, pending, restore)?;
         Ok(self)
     }
 
@@ -730,6 +583,16 @@ impl CrowdData {
             .manifests
             .put(self.manifest.name.as_bytes(), &self.manifest)?;
         Ok(())
+    }
+}
+
+/// Hands a row's cells back from the engine to the table.
+fn restore(table: &mut [Row], cell: ChunkRow) {
+    let row = &mut table[cell.index];
+    row.object = cell.object;
+    row.task = cell.task;
+    if cell.result.is_some() {
+        row.result = cell.result;
     }
 }
 
@@ -1038,7 +901,9 @@ mod tests {
 
     #[test]
     fn bulk_contract_violation_is_an_error_not_truncation() {
-        use reprowd_platform::types::{Project, ProjectId, SimTime, Task, TaskId, TaskRun};
+        use reprowd_platform::types::{
+            Project, ProjectId, SimTime, Task, TaskId, TaskRun, TaskSpec,
+        };
         use reprowd_platform::MockPlatform;
 
         /// A misbehaving platform whose bulk publish drops the last task
@@ -1055,13 +920,6 @@ mod tests {
             fn project(&self, id: ProjectId) -> reprowd_platform::Result<Project> {
                 self.0.project(id)
             }
-            fn publish_task(
-                &self,
-                project: ProjectId,
-                spec: TaskSpec,
-            ) -> reprowd_platform::Result<Task> {
-                self.0.publish_task(project, spec)
-            }
             fn publish_tasks(
                 &self,
                 project: ProjectId,
@@ -1074,11 +932,17 @@ mod tests {
             fn task(&self, id: TaskId) -> reprowd_platform::Result<Task> {
                 self.0.task(id)
             }
-            fn fetch_runs(&self, task: TaskId) -> reprowd_platform::Result<Vec<TaskRun>> {
-                self.0.fetch_runs(task)
+            fn fetch_runs_bulk(
+                &self,
+                tasks: &[TaskId],
+            ) -> reprowd_platform::Result<Vec<Vec<TaskRun>>> {
+                self.0.fetch_runs_bulk(tasks)
             }
-            fn is_complete(&self, task: TaskId) -> reprowd_platform::Result<bool> {
-                self.0.is_complete(task)
+            fn are_complete(
+                &self,
+                tasks: &[TaskId],
+            ) -> reprowd_platform::Result<Vec<Option<bool>>> {
+                self.0.are_complete(tasks)
             }
             fn step(&self) -> reprowd_platform::Result<bool> {
                 self.0.step()

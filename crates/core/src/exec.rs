@@ -193,7 +193,7 @@ pub struct BatchMetricsSnapshot {
     pub fetch_rows: u64,
     /// Bulk completion probes issued (`are_complete`, one per batch).
     /// Free on the platform's `api_calls` meter — see
-    /// [`is_complete`](reprowd_platform::CrowdPlatform::is_complete) — but
+    /// [`are_complete`](reprowd_platform::CrowdPlatform::are_complete) — but
     /// a wall-clock round-trip on a remote adapter, so metered here.
     pub probe_calls: u64,
     /// Task rows covered by those probes.

@@ -7,6 +7,7 @@
 //! silently invalidate every cache.
 
 use crate::value::{canonical, Value};
+use std::collections::HashMap;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -29,6 +30,25 @@ pub fn hash_value(value: &Value) -> u64 {
 /// Fixed-width lowercase hex of a hash (sortable, filename-safe).
 pub fn hex(h: u64) -> String {
     format!("{h:016x}")
+}
+
+/// Assigns row hashes — the row part of a cache key — to a sequence of
+/// objects: the object's content hash in [`hex`], suffixed `-k` for its
+/// `k`-th duplicate, so duplicate objects get distinct, stable keys. Every
+/// row source (`data`, `extend_data`, the streaming runner) keys its rows
+/// through this one scheme, which is what lets them share cells.
+#[derive(Debug, Default)]
+pub(crate) struct RowHashes(HashMap<u64, usize>);
+
+impl RowHashes {
+    /// The hash of the next row, holding `object`.
+    pub(crate) fn next(&mut self, object: &Value) -> String {
+        let h = hash_value(object);
+        let seen = self.0.entry(h).or_insert(0);
+        let hash = if *seen == 0 { hex(h) } else { format!("{}-{}", hex(h), *seen) };
+        *seen += 1;
+        hash
+    }
 }
 
 #[cfg(test)]

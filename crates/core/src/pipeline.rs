@@ -1,54 +1,68 @@
-//! The pipelined execution engine: overlapped platform round-trips with
-//! deterministic, in-order commits.
+//! The execution engine: every crowd step is a run of chunks through one
+//! lifecycle, with overlapped platform round-trips and in-order commits.
 //!
-//! PR 2 batched `publish`/`collect`, but the batches themselves ran
-//! strictly one after another — on any real crowd backend, where a
-//! round-trip costs tens of milliseconds of wire latency, that latency is
-//! paid serially. This module adds the missing overlap without giving up
-//! one bit of reproducibility:
+//! [`CrowdData::publish`](crate::CrowdData::publish),
+//! [`CrowdData::collect`](crate::CrowdData::collect) and [`run_stream`]
+//! hand their rows to one engine. It splits the rows into chunks of the
+//! context's [`batch_size`](crate::CrowdContext::batch_size) and runs each
+//! chunk through the stages its caller selects, always in this order:
+//!
+//! 1. **probe**: one bulk status call over the chunk's cached tasks; a task
+//!    the platform no longer knows (the platform restarted) is republished
+//!    under its stored redundancy.
+//! 2. **publish**: one bulk publish of the rows that have no task.
+//! 3. **wait**: drive the platform until the chunk's tasks complete.
+//! 4. **fetch**: one bulk fetch of the runs of the rows with no result.
+//!
+//! | caller | what it runs |
+//! |--------|--------------|
+//! | [`run_stream`] | its cache lookups, then all four stages per chunk |
+//! | `publish` | its serial cache pass, then the publish stage over the misses |
+//! | `collect` | its serial cache pass, then the probe stage over the candidates, the publish stage over the lost rows, one `run_until_complete` over every pending task, and the fetch stage |
+//!
+//! Every chunk commits through one path, on the calling thread and strictly
+//! in chunk order: its new task cells in one atomic store write, its fetched
+//! result cells in another, each metered in
+//! [`BatchMetrics`](crate::exec::BatchMetrics) and counted in
+//! [`RunStats`]; then the caller receives the chunk's rows.
+//!
+//! Three mechanisms make the in-flight depth a pure wall-clock knob:
 //!
 //! * **A bounded-depth scheduler** (plain threads and channels): up to
 //!   [`ExecutionConfig::inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
-//!   batch jobs are in flight at once, with claim backpressure so resident
+//!   chunks are in flight at once, with claim backpressure so resident
 //!   work never outruns the commit frontier by more than the window.
 //!   Depth 1 degenerates to an inline loop — bit-for-bit the sequential
 //!   engine.
-//! * **Ordered effects** (the platform crate's [`IssueGate`]): every
-//!   platform call a job makes is numbered with a *slot*, and the call's
-//!   effect — id
+//! * **Ordered effects** (the platform crate's [`IssueGate`]): stage `s` of
+//!   chunk `k` takes slot `k × stages + s`, and the call's effect — id
 //!   allocation, clock ticks, budget charges, API accounting — waits its
 //!   turn. The platform therefore observes the **exact call sequence a
 //!   sequential run issues, at every depth**; only the wire time overlaps.
 //!   This is why columns, cache contents, and call counts are bit-identical
 //!   across in-flight depths: determinism is proved by call-sequence
 //!   equality, not argued per platform.
-//! * **Ordered commits**: completed jobs commit to the store strictly in
-//!   job order, on the coordinating thread. A failure at job `k` cancels
-//!   the issue gate for everything after `k` (see
+//! * **Ordered commits**: a failure at chunk `k` cancels the issue gate for
+//!   everything after `k` (see
 //!   [`IssueGate::close_from`](reprowd_platform::IssueGate::close_from)),
-//!   commits exactly the jobs before `k`, and reports `k`'s error — the
+//!   commits exactly the chunks before `k`, and reports `k`'s error — the
 //!   same store prefix and, for errors raised by the platform calls
 //!   themselves, the same platform state a sequential run stopping at `k`
 //!   leaves. (Client-side post-checks that fail *after* a call returned
 //!   cancel at the commit barrier instead, so up to the in-flight window
-//!   of later batches may already be on the platform — the same bounded
+//!   of later chunks may already be on the platform — the same bounded
 //!   exposure as the documented crash window.)
 //!
-//! On top of the scheduler, [`run_stream`] fuses the whole
-//! publish→wait→fetch→commit lifecycle per chunk and accepts the
-//! candidates as an **iterator**, so operators (sort, max, CrowdER join)
-//! can generate candidate pairs lazily: generation interleaves with
-//! publishing, at most a window's worth of rows is resident, and a join
-//! over 10⁴ records no longer materializes an O(n²) pair vector. The
-//! streamed schedule issues each chunk's probe → publish → wait → fetch in
-//! one fixed slot order, so streamed results are *also* bit-identical
-//! across depths — the in-flight depth is a pure performance knob
-//! everywhere.
+//! [`run_stream`] accepts its candidates as an **iterator**, so operators
+//! (sort, max, CrowdER join) generate candidate pairs lazily: generation
+//! interleaves with publishing, at most a window's worth of rows is
+//! resident, and a join over 10⁴ records never materializes an O(n²) pair
+//! vector.
 
 use crate::context::CrowdContext;
 use crate::crowddata::RunStats;
 use crate::error::{Error, Result};
-use crate::hash::{hash_value, hex};
+use crate::hash::RowHashes;
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
@@ -216,42 +230,258 @@ where
     })
 }
 
-/// The common chunked single-slot pipeline: splits `items` into
-/// `batch_size` chunks, owns the issue gate, and runs each chunk through
-/// `work` (one gated platform call, slot = chunk index) and `commit`
-/// (strictly in chunk order). The classic publish, status, and fetch
-/// passes are all instances of this shape.
-pub(crate) fn run_chunked<I: Sync, T: Send>(
-    depth: usize,
-    batch_size: usize,
-    items: &[I],
-    work: impl Fn(u64, &[I], &IssueGate) -> Result<T> + Sync,
-    mut commit: impl FnMut(&[I], T) -> Result<()>,
-) -> Result<()> {
+// ---------------------------------------------------------------- engine
+
+/// A stage of the chunk lifecycle (see the module docs). A run's chunks
+/// execute their stages in the order the caller lists them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    /// Probe the chunk's cached tasks; mark the lost ones for republishing.
+    Probe,
+    /// Publish the rows that have no task.
+    Publish,
+    /// Wait until the tasks of the rows with no result complete.
+    Wait,
+    /// Fetch the runs of the rows that have no result.
+    Fetch,
+}
+
+/// One row moving through the chunk lifecycle.
+pub(crate) struct ChunkRow {
+    /// The caller's position for the row (table or stream index).
+    pub(crate) index: usize,
+    /// The cache key of the row's cells.
+    pub(crate) key: String,
+    /// The row's object.
+    pub(crate) object: Value,
+    /// The task cell: from the cache, or published by this run.
+    pub(crate) task: Option<StoredTask>,
+    /// The result cell: from the cache, or fetched by this run.
+    pub(crate) result: Option<StoredResult>,
+    /// Workers to ask if the row publishes: the run's redundancy for a new
+    /// row, the stored cell's own redundancy for a lost task.
+    pub(crate) redundancy: u32,
+    /// The probe stage found the row's cached task lost by the platform.
+    pub(crate) lost: bool,
+}
+
+impl ChunkRow {
+    /// A row with no cells yet.
+    pub(crate) fn new(index: usize, key: String, object: Value, redundancy: u32) -> Self {
+        ChunkRow { index, key, object, task: None, result: None, redundancy, lost: false }
+    }
+
+    fn task_id(&self) -> TaskId {
+        self.task.as_ref().expect("row has a task").task.id
+    }
+}
+
+/// A chunk in flight, with what its stages did to it.
+struct Chunk {
+    rows: Vec<ChunkRow>,
+    probed: u64,
+    /// Positions of the rows the publish stage gave a task.
+    published: Vec<usize>,
+    /// Positions of the rows the fetch stage gave a result.
+    fetched: Vec<usize>,
+}
+
+impl Chunk {
+    fn positions(&self, pred: impl Fn(&ChunkRow) -> bool) -> Vec<usize> {
+        (0..self.rows.len()).filter(|&p| pred(&self.rows[p])).collect()
+    }
+
+    fn task_ids(&self, at: &[usize]) -> Vec<TaskId> {
+        at.iter().map(|&p| self.rows[p].task_id()).collect()
+    }
+}
+
+/// Enforces the bulk-endpoint contract ("all-or-nothing, results in
+/// request order"): a platform answering a bulk call with the wrong
+/// cardinality would otherwise silently leave tail rows unpersisted.
+fn check_bulk_len(op: &str, got: usize, requested: usize) -> Result<()> {
+    if got != requested {
+        return Err(Error::State(format!(
+            "platform bulk contract violated: {op} returned {got} items for a \
+             batch of {requested}"
+        )));
+    }
+    Ok(())
+}
+
+/// Runs `rows` through the chunk lifecycle — the one execution engine.
+///
+/// Rows are chunked by the context's batch size; each chunk runs `stages`
+/// in order, one gated platform call per stage, with up to
+/// `inflight_batches` chunks in flight. Chunks commit in order (see the
+/// module docs), then `sink` receives each chunk's rows. The first chunk
+/// that publishes resolves the experiment's platform project, recording a
+/// newly created one in `manifest`; a run that publishes nothing makes no
+/// project call. Returns the run's accounting: the work it did in `stats`,
+/// plus its row, chunk and residency counts.
+pub(crate) fn run_chunks(
+    cc: &CrowdContext,
+    manifest: &mut Manifest,
+    presenter: &Presenter,
+    stages: &[Stage],
+    mut rows: impl Iterator<Item = Result<ChunkRow>> + Send,
+    mut sink: impl FnMut(Vec<ChunkRow>) -> Result<()>,
+) -> Result<StreamReport> {
+    let batch_size = cc.exec().batch_size();
+    let slots = stages.len() as u64;
     let gate = IssueGate::new();
-    let mut chunks = items.chunks(batch_size);
+    let project: Mutex<(&mut Manifest, Option<u64>)> = Mutex::new((manifest, None));
+    let inflight = AtomicUsize::new(0);
+    let peak = AtomicUsize::new(0);
+    let mut report = StreamReport::default();
+
     run_windowed(
-        depth,
-        1,
+        cc.exec().inflight_batches(),
+        slots,
         &gate,
-        |_k| Ok(chunks.next()),
-        |k, chunk: &mut &[I]| work(k as u64, chunk, &gate),
-        |_k, chunk, out| commit(chunk, out),
-    )
+        |_k| {
+            let rows = rows.by_ref().take(batch_size).collect::<Result<Vec<_>>>()?;
+            if rows.is_empty() {
+                return Ok(None);
+            }
+            let now = inflight.fetch_add(rows.len(), Ordering::Relaxed) + rows.len();
+            peak.fetch_max(now, Ordering::Relaxed);
+            Ok(Some(Chunk { rows, probed: 0, published: Vec::new(), fetched: Vec::new() }))
+        },
+        |k, chunk: &mut Chunk| {
+            for (s, &stage) in stages.iter().enumerate() {
+                let slot = k as u64 * slots + s as u64;
+                run_stage(cc, presenter, &project, stage, chunk, &gate, slot)?;
+            }
+            Ok(())
+        },
+        |_k, chunk, ()| {
+            let Chunk { mut rows, probed, published, fetched } = chunk;
+            for &p in &published {
+                // Copied here rather than in the publish stage: a task cell
+                // outlives the run, and copies allocated on the short-lived
+                // worker threads raised the peak RSS of a 5,000-row
+                // publish+collect by 8 MiB (2-vCPU Linux host, glibc).
+                let ChunkRow { task, object, .. } = &mut rows[p];
+                task.as_mut().expect("published row has a task").object = object.clone();
+            }
+            let metrics = cc.exec().metrics();
+            if probed > 0 {
+                metrics.record_probe(probed);
+            }
+            if !published.is_empty() {
+                metrics.record_publish(published.len() as u64);
+                cc.store().put_task_batch(published.iter().map(|&p| {
+                    (rows[p].key.as_str(), rows[p].task.as_ref().expect("published row has a task"))
+                }))?;
+            }
+            if !fetched.is_empty() {
+                metrics.record_fetch(fetched.len() as u64);
+                cc.store().put_result_batch(fetched.iter().map(|&p| {
+                    (rows[p].key.as_str(), rows[p].result.as_ref().expect("fetched row has a result"))
+                }))?;
+            }
+            for &p in &published {
+                if rows[p].lost {
+                    report.stats.tasks_republished += 1;
+                } else {
+                    report.stats.tasks_published += 1;
+                }
+            }
+            report.stats.results_collected += fetched.len() as u64;
+            inflight.fetch_sub(rows.len(), Ordering::Relaxed);
+            report.chunks += 1;
+            report.rows += rows.len() as u64;
+            sink(rows)
+        },
+    )?;
+    report.peak_inflight_rows = peak.load(Ordering::Relaxed);
+    Ok(report)
+}
+
+/// Runs one stage of one chunk: its single gated platform call, the bulk
+/// contract check, and the row updates.
+fn run_stage(
+    cc: &CrowdContext,
+    presenter: &Presenter,
+    project: &Mutex<(&mut Manifest, Option<u64>)>,
+    stage: Stage,
+    chunk: &mut Chunk,
+    gate: &IssueGate,
+    slot: u64,
+) -> Result<()> {
+    let platform = cc.platform();
+    match stage {
+        Stage::Probe => {
+            let at = chunk.positions(|r| r.task.is_some() && r.result.is_none());
+            let ids = chunk.task_ids(&at);
+            let statuses = platform.are_complete_pipelined(&ids, gate, slot)?;
+            check_bulk_len("are_complete", statuses.len(), ids.len())?;
+            chunk.probed = ids.len() as u64;
+            for (&p, status) in at.iter().zip(statuses) {
+                if status.is_none() {
+                    let row = &mut chunk.rows[p];
+                    row.redundancy = row.task.take().expect("probed row has a task").n_assignments;
+                    row.lost = true;
+                }
+            }
+        }
+        Stage::Publish => {
+            let at = chunk.positions(|r| r.task.is_none() && r.result.is_none());
+            if at.is_empty() {
+                // Nothing to publish: advance the slot without a request.
+                platform.publish_tasks_pipelined(0, Vec::new(), gate, slot)?;
+                return Ok(());
+            }
+            let pid = {
+                let mut guard = project.lock().expect("project lock");
+                let (manifest, pid) = &mut *guard;
+                match *pid {
+                    Some(pid) => pid,
+                    None => *pid.insert(ensure_project(cc, manifest, presenter)?),
+                }
+            };
+            let specs: Vec<TaskSpec> = at
+                .iter()
+                .map(|&p| TaskSpec {
+                    payload: presenter.render(&chunk.rows[p].object),
+                    n_assignments: chunk.rows[p].redundancy,
+                })
+                .collect();
+            let tasks = platform.publish_tasks_pipelined(pid, specs, gate, slot)?;
+            check_bulk_len("publish_tasks", tasks.len(), at.len())?;
+            for (&p, task) in at.iter().zip(tasks) {
+                let row = &mut chunk.rows[p];
+                // The cell's copy of the object is made at commit.
+                let object = Value::Null;
+                row.task = Some(StoredTask { task, object, n_assignments: row.redundancy });
+            }
+            chunk.published = at;
+        }
+        Stage::Wait => {
+            let ids = chunk.task_ids(&chunk.positions(|r| r.result.is_none()));
+            platform.run_until_complete_pipelined(&ids, gate, slot)?;
+        }
+        Stage::Fetch => {
+            let at = chunk.positions(|r| r.result.is_none());
+            let ids = chunk.task_ids(&at);
+            let runs_per_task = platform.fetch_runs_bulk_pipelined(&ids, gate, slot)?;
+            check_bulk_len("fetch_runs_bulk", runs_per_task.len(), ids.len())?;
+            for (&p, runs) in at.iter().zip(runs_per_task) {
+                chunk.rows[p].result = Some(StoredResult { runs });
+            }
+            chunk.fetched = at;
+        }
+    }
+    Ok(())
 }
 
 // ----------------------------------------------------------- shared bits
 
 /// Resolves (or creates) the platform project an experiment publishes
-/// into, persisting a newly created id into the manifest. Shared by the
-/// classic `publish` path and the streaming runner so both follow the same
-/// revalidation contract (a fresh platform instance may have lost the
-/// recorded project).
-pub(crate) fn ensure_project(
-    cc: &CrowdContext,
-    manifest: &mut Manifest,
-    presenter: &Presenter,
-) -> Result<u64> {
+/// into, persisting a newly created id into the manifest. A fresh platform
+/// instance may have lost the recorded project, so the id is revalidated.
+fn ensure_project(cc: &CrowdContext, manifest: &mut Manifest, presenter: &Presenter) -> Result<u64> {
     if let Some(pid) = manifest.project_id {
         if cc.platform().project(pid).is_ok() {
             return Ok(pid);
@@ -330,35 +560,8 @@ pub struct StreamReport {
     pub peak_inflight_rows: usize,
 }
 
-/// Per-row state as a chunk moves through its lifecycle.
-struct StreamRow {
-    index: usize,
-    key: String,
-    object: Value,
-    /// Result served from the cache (skips the platform entirely).
-    cached_result: Option<StoredResult>,
-    /// The task cell: cached, or freshly published by this chunk.
-    task: Option<StoredTask>,
-    /// Task was published (or re-published) by this chunk → persist it.
-    fresh: bool,
-    /// The cached task was lost by the platform and re-published.
-    republished: bool,
-    /// Workers to ask if this row publishes: the stream's redundancy for
-    /// fresh rows, but the *stored task's* redundancy when re-publishing
-    /// a platform-lost task — matching the classic collect path, which
-    /// republishes under the redundancy the cell was created with.
-    redundancy: u32,
-    /// The fetched result (for rows that went to the platform).
-    fetched: Option<StoredResult>,
-}
-
-struct StreamChunk {
-    rows: Vec<StreamRow>,
-    probed: u64,
-}
-
-/// Streams `candidates` through the full publish→wait→fetch lifecycle and
-/// hands each collected row to `sink`, in input order.
+/// Streams `candidates` through the full probe→publish→wait→fetch
+/// lifecycle and hands each collected row to `sink`, in input order.
 ///
 /// This is the operators' execution engine: candidates are pulled lazily
 /// (generation interleaves with publishing), chunked by the context's
@@ -369,11 +572,10 @@ struct StreamChunk {
 /// classic run (or vice versa) is served from the same cells.
 ///
 /// Unlike the classic path, each chunk *waits for and fetches* its own
-/// tasks before later chunks publish (one fixed slot order per chunk:
-/// probe → publish → wait → fetch), so on a simulated crowd the answers
-/// are those of a crowd that works chunk by chunk. The schedule is fixed
-/// per `(stream, batch_size)`: results are bit-identical at every
-/// in-flight depth, and reruns are free.
+/// tasks before later chunks publish (all four stages per chunk), so on a
+/// simulated crowd the answers are those of a crowd that works chunk by
+/// chunk. The schedule is fixed per `(stream, batch_size)`: results are
+/// bit-identical at every in-flight depth, and reruns are free.
 pub fn run_stream(
     cc: &CrowdContext,
     spec: &StreamSpec,
@@ -397,216 +599,36 @@ pub fn run_stream(
         cc.store().manifests.put(spec.experiment.as_bytes(), &manifest)?;
     }
 
-    let batch_size = cc.exec().batch_size();
-    let depth = cc.exec().inflight_batches();
-    let gate = IssueGate::new();
-    // The project is resolved lazily, once, by the first chunk that
-    // actually publishes — a fully cached stream stays platform-free.
-    let project: Mutex<(Manifest, Option<u64>)> = Mutex::new((manifest, None));
-    let inflight = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
-
-    let mut report = StreamReport::default();
-    let mut iter = candidates;
-    let mut occurrences: HashMap<u64, usize> = HashMap::new();
-    let mut next_index = 0usize;
-
-    let name = spec.experiment.clone();
-    let presenter = &spec.presenter;
-    let n_assignments = spec.n_assignments;
-
-    run_windowed(
-        depth,
-        4,
-        &gate,
-        // Source: pull one chunk of candidates, assigning keys with the
-        // same content-hash + duplicate-suffix scheme as the classic
-        // `data(...)` step (streamed and classic runs share the cache).
-        |_k| {
-            let mut rows = Vec::new();
-            for object in iter.by_ref().take(batch_size) {
-                let h = hash_value(&object);
-                let occ = occurrences.entry(h).or_insert(0);
-                let hash = if *occ == 0 { hex(h) } else { format!("{}-{}", hex(h), *occ) };
-                *occ += 1;
-                rows.push(StreamRow {
-                    index: next_index,
-                    key: ExperimentStore::row_key(&name, &fp, &hash),
-                    object,
-                    cached_result: None,
-                    task: None,
-                    fresh: false,
-                    republished: false,
-                    redundancy: n_assignments,
-                    fetched: None,
-                });
-                next_index += 1;
-            }
-            if rows.is_empty() {
-                return Ok(None);
-            }
-            let now = inflight.fetch_add(rows.len(), Ordering::Relaxed) + rows.len();
-            peak.fetch_max(now, Ordering::Relaxed);
-            Ok(Some(StreamChunk { rows, probed: 0 }))
-        },
-        // Work: the chunk's whole lifecycle, four gated slots.
-        |k, chunk: &mut StreamChunk| {
-            let base = k as u64 * 4;
-            // Cache pass (reads only; keys are unique per row, so reads
-            // racing earlier chunks' commits cannot observe this stream's
-            // own rows half-written).
-            for row in chunk.rows.iter_mut() {
-                if let Some(res) = cc.store().results.get(row.key.as_bytes())? {
-                    row.cached_result = Some(res);
-                } else if let Some(task) = cc.store().tasks.get(row.key.as_bytes())? {
-                    row.task = Some(task);
-                } else {
-                    row.fresh = true;
-                }
-            }
-            // Slot 1: probe cached tasks — a restarted platform may have
-            // lost them, exactly like the classic collect status pass.
-            let probe_at: Vec<usize> = (0..chunk.rows.len())
-                .filter(|&p| chunk.rows[p].task.is_some() && chunk.rows[p].cached_result.is_none())
-                .collect();
-            let ids: Vec<TaskId> = probe_at
-                .iter()
-                .map(|&p| chunk.rows[p].task.as_ref().expect("probed row has task").task.id)
-                .collect();
-            let statuses = cc.platform().are_complete_pipelined(&ids, &gate, base)?;
-            crate::crowddata::check_bulk_len("are_complete", statuses.len(), ids.len())?;
-            chunk.probed = ids.len() as u64;
-            for (&p, status) in probe_at.iter().zip(statuses) {
-                if status.is_none() {
-                    let row = &mut chunk.rows[p];
-                    // Republish under the lost cell's own redundancy, as
-                    // the classic collect path does.
-                    row.redundancy = row
-                        .task
-                        .take()
-                        .expect("probed row has task")
-                        .n_assignments;
-                    row.fresh = true;
-                    row.republished = true;
-                }
-            }
-            // Slot 2: publish the rows that need the crowd.
-            let publish_at: Vec<usize> =
-                (0..chunk.rows.len()).filter(|&p| chunk.rows[p].fresh).collect();
-            if publish_at.is_empty() {
-                // Nothing to publish: advance the slot without a request.
-                cc.platform().publish_tasks_pipelined(0, Vec::new(), &gate, base + 1)?;
-            } else {
-                let pid = {
-                    let mut slot = project.lock().expect("stream project lock");
-                    match slot.1 {
-                        Some(pid) => pid,
-                        None => {
-                            let (manifest, cached) = &mut *slot;
-                            let pid = ensure_project(cc, manifest, presenter)?;
-                            *cached = Some(pid);
-                            pid
-                        }
-                    }
-                };
-                let specs: Vec<TaskSpec> = publish_at
-                    .iter()
-                    .map(|&p| TaskSpec {
-                        payload: presenter.render(&chunk.rows[p].object),
-                        n_assignments: chunk.rows[p].redundancy,
-                    })
-                    .collect();
-                let tasks = cc.platform().publish_tasks_pipelined(pid, specs, &gate, base + 1)?;
-                crate::crowddata::check_bulk_len("publish_tasks", tasks.len(), publish_at.len())?;
-                for (&p, task) in publish_at.iter().zip(tasks) {
-                    let row = &mut chunk.rows[p];
-                    row.task = Some(StoredTask {
-                        task,
-                        object: row.object.clone(),
-                        n_assignments: row.redundancy,
-                    });
-                }
-            }
-            // Slots 3 and 4: wait for this chunk's tasks, then fetch them.
-            let pending_at: Vec<usize> = (0..chunk.rows.len())
-                .filter(|&p| chunk.rows[p].cached_result.is_none())
-                .collect();
-            let ids: Vec<TaskId> = pending_at
-                .iter()
-                .map(|&p| chunk.rows[p].task.as_ref().expect("pending row has task").task.id)
-                .collect();
-            cc.platform().run_until_complete_pipelined(&ids, &gate, base + 2)?;
-            let runs_per_task = cc.platform().fetch_runs_bulk_pipelined(&ids, &gate, base + 3)?;
-            crate::crowddata::check_bulk_len("fetch_runs_bulk", runs_per_task.len(), ids.len())?;
-            for (&p, runs) in pending_at.iter().zip(runs_per_task) {
-                chunk.rows[p].fetched = Some(StoredResult { runs });
-            }
-            Ok(())
-        },
-        // Commit: persist, meter, account, and hand rows to the sink — in
-        // chunk order.
-        |_k, chunk, ()| {
-            let task_cells: Vec<(String, StoredTask)> = chunk
-                .rows
-                .iter()
-                .filter(|r| r.fresh)
-                .map(|r| (r.key.clone(), r.task.clone().expect("fresh row has task")))
-                .collect();
-            let result_cells: Vec<(String, StoredResult)> = chunk
-                .rows
-                .iter()
-                .filter(|r| r.fetched.is_some())
-                .map(|r| (r.key.clone(), r.fetched.clone().expect("checked")))
-                .collect();
-            if chunk.probed > 0 {
-                cc.exec().metrics().record_probe(chunk.probed);
-            }
-            if !task_cells.is_empty() {
-                cc.exec().metrics().record_publish(task_cells.len() as u64);
-                cc.store().put_task_batch(&task_cells)?;
-            }
-            if !result_cells.is_empty() {
-                cc.exec().metrics().record_fetch(result_cells.len() as u64);
-                cc.store().put_result_batch(&result_cells)?;
-            }
-            inflight.fetch_sub(chunk.rows.len(), Ordering::Relaxed);
-            report.chunks += 1;
-            for row in chunk.rows {
-                report.rows += 1;
-                let result = match (row.cached_result, row.fetched) {
-                    (Some(res), _) => {
-                        // Same accounting as a classic cached rerun: both
-                        // the task and the result cells were reused.
-                        report.stats.results_reused += 1;
-                        report.stats.tasks_reused += 1;
-                        res
-                    }
-                    (None, Some(res)) => {
-                        report.stats.results_collected += 1;
-                        if row.republished {
-                            // Classic lost-task accounting: the cached
-                            // cell was reused, then re-published.
-                            report.stats.tasks_reused += 1;
-                            report.stats.tasks_republished += 1;
-                        } else if row.fresh {
-                            report.stats.tasks_published += 1;
-                        } else {
-                            report.stats.tasks_reused += 1;
-                        }
-                        res
-                    }
-                    (None, None) => {
-                        return Err(Error::State(format!(
-                            "streamed row {} finished without a result", row.index
-                        )));
-                    }
-                };
-                sink(StreamedRow { index: row.index, object: row.object, result })?;
-            }
-            Ok(())
-        },
-    )?;
-    report.peak_inflight_rows = peak.load(Ordering::Relaxed);
+    // Cache lookups, as candidates are pulled: keys follow the classic
+    // `data(...)` scheme, so streamed and classic runs share cells. A
+    // cached result skips the platform; a cached task skips publishing
+    // (unless the probe finds it lost).
+    let mut hashes = RowHashes::default();
+    let mut reused = RunStats::default();
+    let rows = candidates.enumerate().map(|(index, object)| -> Result<ChunkRow> {
+        let key = ExperimentStore::row_key(&spec.experiment, &fp, &hashes.next(&object));
+        let mut row = ChunkRow::new(index, key, object, spec.n_assignments);
+        if let Some(result) = cc.store().results.get(row.key.as_bytes())? {
+            row.result = Some(result);
+            reused.results_reused += 1;
+            reused.tasks_reused += 1;
+        } else if let Some(task) = cc.store().tasks.get(row.key.as_bytes())? {
+            row.task = Some(task);
+            reused.tasks_reused += 1;
+        }
+        Ok(row)
+    });
+    let stages = [Stage::Probe, Stage::Publish, Stage::Wait, Stage::Fetch];
+    let mut report = run_chunks(cc, &mut manifest, &spec.presenter, &stages, rows, |chunk| {
+        for row in chunk {
+            let result = row.result.ok_or_else(|| {
+                Error::State(format!("streamed row {} finished without a result", row.index))
+            })?;
+            sink(StreamedRow { index: row.index, object: row.object, result })?;
+        }
+        Ok(())
+    })?;
+    report.stats += reused;
     Ok(report)
 }
 

@@ -106,14 +106,20 @@ impl ExperimentStore {
     /// Persists one publish batch worth of task cells **atomically** (one
     /// log record): after a crash, either the whole batch is on disk or
     /// none of it is, so recovery repays at most one batch of crowd work.
-    pub fn put_task_batch(&self, rows: &[(String, StoredTask)]) -> Result<()> {
-        self.tasks.put_many(rows.iter().map(|(k, v)| (k.as_bytes(), v)))?;
+    pub fn put_task_batch<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (&'a str, &'a StoredTask)>,
+    ) -> Result<()> {
+        self.tasks.put_many(rows.into_iter().map(|(k, v)| (k.as_bytes(), v)))?;
         Ok(())
     }
 
     /// Persists one collect batch worth of result cells atomically.
-    pub fn put_result_batch(&self, rows: &[(String, StoredResult)]) -> Result<()> {
-        self.results.put_many(rows.iter().map(|(k, v)| (k.as_bytes(), v)))?;
+    pub fn put_result_batch<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (&'a str, &'a StoredResult)>,
+    ) -> Result<()> {
+        self.results.put_many(rows.into_iter().map(|(k, v)| (k.as_bytes(), v)))?;
         Ok(())
     }
 }
@@ -171,7 +177,7 @@ mod tests {
         let tasks: Vec<(String, StoredTask)> = (0..4u64)
             .map(|i| (ExperimentStore::row_key("exp", "fp", &format!("h{i}")), task(i)))
             .collect();
-        s.put_task_batch(&tasks).unwrap();
+        s.put_task_batch(tasks.iter().map(|(k, v)| (k.as_str(), v))).unwrap();
         assert_eq!(s.tasks.len().unwrap(), 4);
         assert_eq!(s.tasks.get(tasks[2].0.as_bytes()).unwrap(), Some(task(2)));
         let results: Vec<(String, StoredResult)> = (0..4u64)
@@ -180,11 +186,11 @@ mod tests {
                  StoredResult { runs: Vec::new() })
             })
             .collect();
-        s.put_result_batch(&results).unwrap();
+        s.put_result_batch(results.iter().map(|(k, v)| (k.as_str(), v))).unwrap();
         assert_eq!(s.results.len().unwrap(), 4);
         // Empty batches are no-ops.
-        s.put_task_batch(&[]).unwrap();
-        s.put_result_batch(&[]).unwrap();
+        s.put_task_batch(std::iter::empty()).unwrap();
+        s.put_result_batch(std::iter::empty()).unwrap();
         assert_eq!(s.tasks.len().unwrap(), 4);
     }
 

@@ -59,9 +59,6 @@ impl CrowdPlatform for Recorder {
     fn project(&self, id: ProjectId) -> reprowd_platform::Result<Project> {
         self.inner.project(id)
     }
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> reprowd_platform::Result<Task> {
-        Ok(self.publish_tasks(project, vec![spec])?.remove(0))
-    }
     fn publish_tasks(
         &self,
         project: ProjectId,
@@ -79,18 +76,12 @@ impl CrowdPlatform for Recorder {
     fn task(&self, id: TaskId) -> reprowd_platform::Result<Task> {
         self.inner.task(id)
     }
-    fn fetch_runs(&self, task: TaskId) -> reprowd_platform::Result<Vec<TaskRun>> {
-        Ok(self.fetch_runs_bulk(&[task])?.remove(0))
-    }
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> reprowd_platform::Result<Vec<Vec<TaskRun>>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
         }
         self.record(json!({ "op": "fetch", "ids": tasks }));
         self.inner.fetch_runs_bulk(tasks)
-    }
-    fn is_complete(&self, task: TaskId) -> reprowd_platform::Result<bool> {
-        self.inner.is_complete(task)
     }
     fn are_complete(&self, tasks: &[TaskId]) -> reprowd_platform::Result<Vec<Option<bool>>> {
         if tasks.is_empty() {
@@ -353,8 +344,11 @@ fn stream_restart(depth: usize) -> Vec<Value> {
     s.trace()
 }
 
+/// A scenario: the trace it records at an in-flight depth.
+type Scenario = fn(usize) -> Vec<Value>;
+
 fn all_traces() -> Value {
-    let scenarios: [(&str, fn(usize) -> Vec<Value>); 8] = [
+    let scenarios: [(&str, Scenario); 8] = [
         ("classic_fresh", classic_fresh),
         ("classic_extend", classic_extend),
         ("classic_rerun", classic_rerun),

@@ -93,11 +93,6 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         self.inner.project(id)
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.pay_full();
-        self.inner.publish_task(project, spec)
-    }
-
     fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
         if specs.is_empty() {
             return Ok(Vec::new());
@@ -134,11 +129,6 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         self.inner.task(id)
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.pay_full();
-        self.inner.fetch_runs(task)
-    }
-
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
         if tasks.is_empty() {
             return Ok(Vec::new());
@@ -164,11 +154,6 @@ impl<P: CrowdPlatform> CrowdPlatform for LatencyPlatform<P> {
         turn.complete();
         self.pay_response();
         Ok(out)
-    }
-
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        self.pay_full();
-        self.inner.is_complete(task)
     }
 
     /// A status probe is free on the API-call meter but still a wall-clock

@@ -13,11 +13,17 @@
 //!   polling.
 //! * **Bulk operations** ([`CrowdPlatform::publish_tasks`],
 //!   [`CrowdPlatform::fetch_runs_bulk`],
-//!   [`CrowdPlatform::are_complete`]) — the batched pipeline publishes,
+//!   [`CrowdPlatform::are_complete`]) — the execution engine publishes,
 //!   probes, and fetches in chunks, so end-to-end cost stops scaling
-//!   linearly in round-trips. Implementations that override the defaults
-//!   count one API call per bulk publish/fetch request, matching how real
-//!   bulk endpoints bill (status probes stay free, like `is_complete`).
+//!   linearly in round-trips. Each counts one API call per non-empty
+//!   publish/fetch request, matching how real bulk endpoints bill (status
+//!   probes stay free).
+//!
+//! **A platform implements the bulk forms.** They are the trait's required
+//! publish, fetch, and probe methods; the single-item forms
+//! ([`CrowdPlatform::publish_task`], [`CrowdPlatform::fetch_runs`],
+//! [`CrowdPlatform::is_complete`]) are one-line defaults over them, so a
+//! single item costs exactly what a one-item batch costs.
 
 use crate::error::{Error, Result};
 use crate::gate::IssueGate;
@@ -72,97 +78,69 @@ pub trait CrowdPlatform: Send + Sync {
     /// Looks up a project.
     fn project(&self, id: ProjectId) -> Result<Project>;
 
-    /// Publishes one task. Counts as one API call.
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task>;
-
-    /// Publishes many tasks in one request.
+    /// Publishes many tasks in one request: **one** API call, atomic —
+    /// either every spec is accepted (tasks returned in spec order, ids
+    /// ascending) or none is. Publishing an empty batch is free and issues
+    /// no API call.
     ///
-    /// The default implementation is sequential [`publish_task`] calls
-    /// (one API call *per spec*), failing fast on the first error — tasks
-    /// already accepted stay accepted, exactly how a remote API behaves
-    /// when the client dies mid-loop. Platforms with a native bulk
-    /// endpoint ([`SimPlatform`], [`MockPlatform`]) override this with an
-    /// **atomic** one-API-call implementation: either every spec is
-    /// accepted (tasks returned in spec order, ids ascending) or none is.
-    /// Publishing an empty batch is free and issues no API call.
-    ///
-    /// Task ids, payloads, and timestamps are identical to what the same
-    /// specs published one-by-one would produce; only the API-call count
-    /// differs. The batched client pipeline relies on this to keep
+    /// Task ids, payloads, and timestamps must be identical to what the
+    /// same specs published in smaller batches would produce; only the
+    /// API-call count differs. The execution engine relies on this to keep
     /// collected results bit-identical across batch sizes.
+    fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>>;
+
+    /// Publishes one task: a one-spec [`publish_tasks`] batch, so it counts
+    /// as one API call.
     ///
-    /// [`publish_task`]: CrowdPlatform::publish_task
-    /// [`SimPlatform`]: crate::SimPlatform
-    /// [`MockPlatform`]: crate::MockPlatform
-    fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
-        let mut out = Vec::with_capacity(specs.len());
-        for spec in specs {
-            out.push(self.publish_task(project, spec)?);
-        }
-        Ok(out)
+    /// [`publish_tasks`]: CrowdPlatform::publish_tasks
+    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
+        let empty = || Error::InvalidRequest("publish_tasks returned no task".into());
+        self.publish_tasks(project, vec![spec])?.pop().ok_or_else(empty)
     }
 
     /// Fetches a task's current state. Counts as one API call.
     fn task(&self, id: TaskId) -> Result<Task>;
 
-    /// Fetches all runs collected for a task so far. Counts as one API call.
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>>;
+    /// Fetches the runs of many tasks in one request, in input order:
+    /// **one** API call served from a single consistent snapshot. If any
+    /// listed task is unknown the whole call fails with
+    /// [`Error::UnknownTask`] and nothing is returned. Fetching an empty
+    /// batch is free and issues no API call.
+    fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>>;
 
-    /// Fetches the runs of many tasks in one request, in input order.
+    /// Fetches all runs collected for a task so far: a one-task
+    /// [`fetch_runs_bulk`], so it counts as one API call.
     ///
-    /// The default implementation is sequential [`fetch_runs`] calls (one
-    /// API call per task). Platforms with a native bulk endpoint override
-    /// this to serve the whole request as **one** API call from a single
-    /// consistent snapshot; if any listed task is unknown the whole call
-    /// fails with [`Error::UnknownTask`] and nothing is returned. Fetching
-    /// an empty batch is free and issues no API call.
-    ///
-    /// [`fetch_runs`]: CrowdPlatform::fetch_runs
-    fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
-        let mut out = Vec::with_capacity(tasks.len());
-        for &t in tasks {
-            out.push(self.fetch_runs(t)?);
-        }
-        Ok(out)
+    /// [`fetch_runs_bulk`]: CrowdPlatform::fetch_runs_bulk
+    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
+        self.fetch_runs_bulk(&[task])?.pop().ok_or(Error::UnknownTask(task))
     }
-
-    /// True if the task has met its redundancy target.
-    ///
-    /// **Status probes are free**: neither `is_complete` nor
-    /// [`are_complete`](CrowdPlatform::are_complete) counts toward
-    /// [`api_calls`](CrowdPlatform::api_calls) on any in-process platform
-    /// ([`FailingPlatform`](crate::FailingPlatform) does not charge its
-    /// budget for them either). `api_calls` measures the paper's sharable
-    /// property — *crowd work requested* — and a poll requests none. A
-    /// real remote adapter still pays wall-clock round-trips to poll, which
-    /// is why the batched pipeline probes per batch and meters those
-    /// round-trips in its own client-side ledger
-    /// (`ExecutionContext::metrics`), never here. Pinned by the
-    /// `status_probes_are_free_on_every_platform` test.
-    fn is_complete(&self, task: TaskId) -> Result<bool>;
 
     /// Reports completion for many tasks in one request, in input order:
     /// `Some(true)` complete, `Some(false)` still open, `None` unknown to
     /// the platform (e.g. the platform restarted and lost it — callers
     /// use this to decide what to republish).
     ///
-    /// The default implementation is sequential [`is_complete`] calls,
-    /// mapping [`Error::UnknownTask`] to `None`. Like `is_complete`, the
-    /// in-process platforms do not count this as an API call; a real
-    /// remote adapter would serve it as **one** round-trip, which is why
-    /// the batched pipeline probes completion through this method rather
-    /// than per row.
+    /// **Status probes are free**: neither `are_complete` nor
+    /// [`is_complete`](CrowdPlatform::is_complete) counts toward
+    /// [`api_calls`](CrowdPlatform::api_calls) on any in-process platform
+    /// ([`FailingPlatform`](crate::FailingPlatform) does not charge its
+    /// budget for them either). `api_calls` measures the paper's sharable
+    /// property — *crowd work requested* — and a poll requests none. A
+    /// real remote adapter still pays a wall-clock round-trip per probe,
+    /// which is why the execution engine probes once per chunk and meters
+    /// those round-trips in its own client-side ledger
+    /// (`ExecutionContext::metrics`), never here. Pinned by the
+    /// `status_probes_are_free_on_every_platform` test.
+    fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>>;
+
+    /// True if the task has met its redundancy target: a one-task
+    /// [`are_complete`], failing with [`Error::UnknownTask`] if the
+    /// platform does not know the task. Free, like every status probe.
     ///
-    /// [`is_complete`]: CrowdPlatform::is_complete
-    fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
-        tasks
-            .iter()
-            .map(|&t| match self.is_complete(t) {
-                Ok(done) => Ok(Some(done)),
-                Err(Error::UnknownTask(_)) => Ok(None),
-                Err(e) => Err(e),
-            })
-            .collect()
+    /// [`are_complete`]: CrowdPlatform::are_complete
+    fn is_complete(&self, task: TaskId) -> Result<bool> {
+        self.are_complete(&[task])?.pop().flatten().ok_or(Error::UnknownTask(task))
     }
 
     /// Makes internal progress (simulated crowd work). Returns `false` when
@@ -286,43 +264,6 @@ mod tests {
     use super::*;
     use crate::mock::MockPlatform;
 
-    /// A platform that deliberately does NOT override the bulk defaults,
-    /// so the trait's sequential fallbacks stay covered.
-    struct NoBulk(MockPlatform);
-
-    impl CrowdPlatform for NoBulk {
-        fn name(&self) -> &str {
-            "no-bulk"
-        }
-        fn create_project(&self, name: &str) -> Result<ProjectId> {
-            self.0.create_project(name)
-        }
-        fn project(&self, id: ProjectId) -> Result<Project> {
-            self.0.project(id)
-        }
-        fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-            self.0.publish_task(project, spec)
-        }
-        fn task(&self, id: TaskId) -> Result<Task> {
-            self.0.task(id)
-        }
-        fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-            self.0.fetch_runs(task)
-        }
-        fn is_complete(&self, task: TaskId) -> Result<bool> {
-            self.0.is_complete(task)
-        }
-        fn step(&self) -> Result<bool> {
-            self.0.step()
-        }
-        fn api_calls(&self) -> u64 {
-            self.0.api_calls()
-        }
-        fn now(&self) -> SimTime {
-            self.0.now()
-        }
-    }
-
     fn specs(n: usize) -> Vec<TaskSpec> {
         (0..n)
             .map(|i| TaskSpec { payload: serde_json::json!({ "i": i }), n_assignments: 1 })
@@ -330,59 +271,12 @@ mod tests {
     }
 
     #[test]
-    fn default_publish_tasks_is_sequential() {
-        let p = NoBulk(MockPlatform::echo());
-        let proj = p.create_project("t").unwrap();
-        let tasks = p.publish_tasks(proj, specs(4)).unwrap();
-        assert_eq!(tasks.len(), 4);
-        // ids are distinct and ascending
-        for w in tasks.windows(2) {
-            assert!(w[0].id < w[1].id);
-        }
-        // The fallback pays one API call per spec (plus project creation).
-        assert_eq!(p.api_calls(), 5);
-    }
-
-    #[test]
-    fn default_fetch_runs_bulk_is_sequential() {
-        let p = NoBulk(MockPlatform::echo());
-        let proj = p.create_project("t").unwrap();
-        let tasks = p.publish_tasks(proj, specs(3)).unwrap();
-        let ids: Vec<TaskId> = tasks.iter().map(|t| t.id).collect();
-        p.run_until_complete(&ids).unwrap();
-        let before = p.api_calls();
-        let runs = p.fetch_runs_bulk(&ids).unwrap();
-        assert_eq!(runs.len(), 3);
-        assert!(runs.iter().all(|r| r.len() == 1));
-        assert_eq!(p.api_calls() - before, 3, "fallback = one call per task");
-    }
-
-    #[test]
-    fn bulk_overrides_equal_sequential_but_one_call() {
-        // Same specs through the sequential fallback and the native bulk
-        // endpoint: identical tasks and runs, different API-call counts.
-        let seq = NoBulk(MockPlatform::echo());
-        let bulk = MockPlatform::echo();
-        let (ps, pb) = (seq.create_project("t").unwrap(), bulk.create_project("t").unwrap());
-        let ts = seq.publish_tasks(ps, specs(5)).unwrap();
-        let tb = bulk.publish_tasks(pb, specs(5)).unwrap();
-        assert_eq!(ts, tb, "bulk publish must register identical tasks");
-        let ids: Vec<TaskId> = ts.iter().map(|t| t.id).collect();
-        seq.run_until_complete(&ids).unwrap();
-        bulk.run_until_complete(&ids).unwrap();
-        assert_eq!(seq.fetch_runs_bulk(&ids).unwrap(), bulk.fetch_runs_bulk(&ids).unwrap());
-        // create(1) + publishes + fetches: 1+5+5 vs 1+1+1.
-        assert_eq!(seq.api_calls(), 11);
-        assert_eq!(bulk.api_calls(), 3);
-    }
-
-    #[test]
     fn are_complete_maps_unknown_to_none() {
-        // Both the sequential default and the mock's native override must
-        // agree: Some(done) for known tasks, None for unknown ids.
+        // Some(done) for known tasks, None for unknown ids — and the
+        // single-item default agrees.
         for p in [
-            Box::new(NoBulk(MockPlatform::echo())) as Box<dyn CrowdPlatform>,
-            Box::new(MockPlatform::echo()),
+            Box::new(MockPlatform::echo()) as Box<dyn CrowdPlatform>,
+            Box::new(crate::SimPlatform::quick(3, 0.9, 1)),
         ] {
             let proj = p.create_project("t").unwrap();
             let tasks = p.publish_tasks(proj, specs(2)).unwrap();
@@ -391,6 +285,8 @@ mod tests {
             assert_eq!(status[0], Some(true), "{}", p.name());
             assert_eq!(status[1], None, "{}", p.name());
             assert!(status[2].is_some(), "{}", p.name());
+            assert_eq!(p.is_complete(tasks[0].id), Ok(true), "{}", p.name());
+            assert_eq!(p.is_complete(999), Err(Error::UnknownTask(999)), "{}", p.name());
         }
     }
 

@@ -267,26 +267,6 @@ impl SimPlatform {
         Ok(())
     }
 
-    /// Stamps and registers a task on its home shard (which also wakes the
-    /// shard's parked workers). Takes the shard lock; callers holding the
-    /// registry are fine (registry → shard is the global lock order), but
-    /// no shard lock may be held.
-    fn place_task(&self, id: TaskId, project: ProjectId, spec: TaskSpec) -> Task {
-        let mut shard = self.home(id).lock();
-        let task = Task {
-            id,
-            project_id: project,
-            payload: spec.payload,
-            n_assignments: spec.n_assignments,
-            published_at: shard.clock,
-            status: TaskStatus::Open,
-        };
-        shard.insert_task(task.clone());
-        // New work: parked workers become eligible again.
-        shard.wake_parked();
-        task
-    }
-
     #[cfg(test)]
     fn total_tasks(&self) -> usize {
         self.shards.iter().map(|s| s.lock().tasks.len()).sum()
@@ -312,31 +292,12 @@ impl CrowdPlatform for SimPlatform {
         self.registry.lock().projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
     }
 
-    fn publish_task(&self, project: ProjectId, spec: TaskSpec) -> Result<Task> {
-        self.bump();
-        self.validate_spec(&spec)?;
-        let mut r = self.registry.lock();
-        if !r.projects.contains_key(&project) {
-            return Err(Error::UnknownProject(project));
-        }
-        self.validate_placement(&spec, r.next_task)?;
-        let id = r.next_task;
-        r.next_task += 1;
-        // The registry stays held through placement (registry → shard lock
-        // order) so concurrent publishers cannot interleave between id
-        // allocation and queue insertion: each shard's open queue stays in
-        // ascending-id (publish) order.
-        Ok(self.place_task(id, project, spec))
-    }
-
-    /// Native bulk publish: one API call, atomic.
+    /// Bulk publish: one API call, atomic.
     ///
     /// Every spec is validated before any task is registered, so an invalid
     /// spec rejects the whole batch. Registered tasks are identical (ids,
-    /// payloads, timestamps) to what sequential [`publish_task`] calls
-    /// would have produced — only the API-call accounting differs.
-    ///
-    /// [`publish_task`]: CrowdPlatform::publish_task
+    /// payloads, timestamps) however the specs are split into batches —
+    /// only the API-call accounting differs.
     fn publish_tasks(&self, project: ProjectId, specs: Vec<TaskSpec>) -> Result<Vec<Task>> {
         if specs.is_empty() {
             return Ok(Vec::new());
@@ -387,12 +348,7 @@ impl CrowdPlatform for SimPlatform {
         self.home(id).lock().tasks.get(&id).cloned().ok_or(Error::UnknownTask(id))
     }
 
-    fn fetch_runs(&self, task: TaskId) -> Result<Vec<TaskRun>> {
-        self.bump();
-        self.home(task).lock().runs.get(&task).cloned().ok_or(Error::UnknownTask(task))
-    }
-
-    /// Native bulk fetch: one API call serving every task from a single
+    /// Bulk fetch: one API call serving every task from a single
     /// consistent snapshot (every shard lock is held for the duration). An
     /// unknown id fails the whole call.
     fn fetch_runs_bulk(&self, tasks: &[TaskId]) -> Result<Vec<Vec<TaskRun>>> {
@@ -414,17 +370,10 @@ impl CrowdPlatform for SimPlatform {
             .collect()
     }
 
-    /// Status probes are **free** — no API-call bump — on every in-process
-    /// platform; see the trait-level contract on
-    /// [`is_complete`](CrowdPlatform::is_complete).
-    fn is_complete(&self, task: TaskId) -> Result<bool> {
-        let shard = self.home(task).lock();
-        let t = shard.tasks.get(&task).ok_or(Error::UnknownTask(task))?;
-        Ok(t.status == TaskStatus::Completed)
-    }
-
-    /// Native bulk status probe: one consistent snapshot across every
-    /// shard. Free, like [`is_complete`](CrowdPlatform::is_complete).
+    /// Bulk status probe: one consistent snapshot across every shard.
+    /// **Free** — no API-call bump — like every status probe; see the
+    /// trait-level contract on
+    /// [`are_complete`](CrowdPlatform::are_complete).
     fn are_complete(&self, tasks: &[TaskId]) -> Result<Vec<Option<bool>>> {
         let n = self.shards.len();
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
