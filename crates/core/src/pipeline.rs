@@ -563,7 +563,7 @@ pub struct StreamReport {
 /// Streams `candidates` through the full probe→publish→wait→fetch
 /// lifecycle and hands each collected row to `sink`, in input order.
 ///
-/// This is the operators' execution engine: candidates are pulled lazily
+/// This is how the operators run on the engine: candidates are pulled lazily
 /// (generation interleaves with publishing), chunked by the context's
 /// [`batch_size`](crate::CrowdContext::batch_size), and processed with up
 /// to [`inflight_batches`](crate::exec::ExecutionConfig::inflight_batches)
