@@ -6,7 +6,7 @@ use crate::crowddata::CrowdData;
 use crate::error::{Error, Result};
 use crate::exec::{BatchMetricsSnapshot, ExecutionConfig, ExecutionContext};
 use crate::store::{ExperimentStore, Manifest};
-use reprowd_platform::{CrowdPlatform, SimConfig, SimPlatform, WorkerPool, WorkerProfile};
+use reprowd_platform::{CrowdPlatform, SimPlatform};
 use reprowd_storage::{Backend, DiskStore, MemoryStore, SyncPolicy};
 use std::path::Path;
 use std::sync::Arc;
@@ -83,39 +83,6 @@ impl CrowdContext {
         let platform = Arc::new(SimPlatform::quick(5, 0.85, seed));
         let backend: Arc<dyn Backend> = Arc::new(MemoryStore::new());
         CrowdContext::new(platform, backend).expect("in-memory context construction")
-    }
-
-    /// Like [`in_memory_sim`](CrowdContext::in_memory_sim), but honoring
-    /// the whole [`ExecutionConfig`] — including
-    /// [`sim_shards`](ExecutionConfig::sim_shards), which partitions the
-    /// simulated crowd so it can be driven on one thread per shard. The
-    /// crowd scales with the shard count (5 workers *per shard*, ability
-    /// 0.85), so every shard can meet the usual redundancy; `sim_shards:
-    /// None` (or `Some(1)`) builds exactly the [`in_memory_sim`] crowd.
-    ///
-    /// [`in_memory_sim`]: CrowdContext::in_memory_sim
-    pub fn in_memory_sim_with(seed: u64, config: ExecutionConfig) -> Result<Self> {
-        config.validate()?;
-        let shards = config.sim_shards.unwrap_or(1);
-        // Worker ids are hash-partitioned across shards, so sequential ids
-        // spread unevenly; pick ids until every shard has exactly 5
-        // workers (deterministic — the partition depends only on the id
-        // and the shard count).
-        let mut per_shard = vec![0usize; shards];
-        let mut workers = Vec::with_capacity(5 * shards);
-        let mut id = 1u64;
-        while workers.len() < 5 * shards {
-            let s = SimPlatform::shard_index(id, shards);
-            if per_shard[s] < 5 {
-                per_shard[s] += 1;
-                workers.push(WorkerProfile::with_ability(id, 0.85));
-            }
-            id += 1;
-        }
-        let platform = Arc::new(SimPlatform::new(
-            SimConfig::new(WorkerPool::new(workers), seed).with_shards(shards),
-        ));
-        CrowdContext::with_config(platform, Arc::new(MemoryStore::new()), config)
     }
 
     /// A context over the given platform and a durable on-disk database —
@@ -257,34 +224,6 @@ mod tests {
         let cc = CrowdContext::in_memory_sim(1);
         assert!(cc.crowddata("").is_err());
         assert!(cc.crowddata("a/b").is_err());
-    }
-
-    #[test]
-    fn sharded_in_memory_context() {
-        // 5 shards with sequential worker ids would leave one shard with
-        // only 2 workers (the hash partition is uneven); the constructor
-        // must pick ids so every shard holds 5 and redundancy 3 publishes
-        // on every shard.
-        let cfg = ExecutionConfig::with_batch_size(8).with_sim_shards(5);
-        let cc = CrowdContext::in_memory_sim_with(7, cfg).unwrap();
-        assert_eq!(cc.batch_size(), 8);
-        let cd = cc
-            .crowddata("sharded")
-            .unwrap()
-            .data((0..40).map(|i| crate::value::Value::from(format!("obj{i}"))).collect())
-            .unwrap()
-            .presenter(crate::presenter::Presenter::image_label("label?", &["A", "B"]))
-            .unwrap()
-            .publish(3)
-            .unwrap()
-            .collect()
-            .unwrap();
-        assert_eq!(cd.run_stats().results_collected, 40);
-        // The collect status pass metered its completion probes.
-        assert!(cc.batch_metrics().probe_calls >= 1);
-        // An explicit zero shard count is rejected up front.
-        let bad = ExecutionConfig::default().with_sim_shards(0);
-        assert!(CrowdContext::in_memory_sim_with(7, bad).is_err());
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::pipeline::{run_chunks, ChunkRow, Stage};
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
 use crate::value::{canonical, Value};
-use reprowd_platform::types::TaskId;
+use reprowd_platform::types::{TaskId, TaskRun};
 use reprowd_quality::{
     majority_vote_matrix, weighted_majority_vote_matrix, DawidSkene, DsConfig, OneCoin,
     OneCoinConfig, TiePolicy, VoteMatrix, WorkerId,
@@ -380,19 +380,8 @@ impl CrowdData {
     /// system tolerates junk submissions.
     pub fn vote_matrix(&self) -> Result<(VoteMatrix, Vec<Value>)> {
         let space = self.answer_space()?;
-        let index: HashMap<String, usize> =
-            space.iter().enumerate().map(|(i, v)| (canonical(v), i)).collect();
-        let mut matrix = VoteMatrix::new(space.len().max(1), self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            if let Some(res) = &row.result {
-                for run in &res.runs {
-                    if let Some(&label) = index.get(&canonical(&run.answer)) {
-                        matrix.push_vote(i, run.worker_id, label);
-                    }
-                }
-            }
-        }
-        Ok((matrix, space))
+        let runs = self.rows.iter().map(|row| row.result.as_ref().map_or(&[][..], |r| &r.runs));
+        Ok((votes_over(&space, runs), space))
     }
 
     /// Step 5 (paper default): majority vote into the derived column `mv`.
@@ -594,6 +583,27 @@ fn restore(table: &mut [Row], cell: ChunkRow) {
     if cell.result.is_some() {
         row.result = cell.result;
     }
+}
+
+/// The vote matrix of `rows` (each row's runs; unanswered rows are empty)
+/// over `space`, dropping answers outside it — the one rule deciding which
+/// answers count, shared by [`CrowdData::vote_matrix`] and the streamed
+/// [`majority_answer`](crate::pipeline::majority_answer).
+pub(crate) fn votes_over<'a>(
+    space: &[Value],
+    rows: impl ExactSizeIterator<Item = &'a [TaskRun]>,
+) -> VoteMatrix {
+    let index: HashMap<String, usize> =
+        space.iter().enumerate().map(|(i, v)| (canonical(v), i)).collect();
+    let mut matrix = VoteMatrix::new(space.len().max(1), rows.len());
+    for (i, runs) in rows.enumerate() {
+        for run in runs {
+            if let Some(&label) = index.get(&canonical(&run.answer)) {
+                matrix.push_vote(i, run.worker_id, label);
+            }
+        }
+    }
+    matrix
 }
 
 #[cfg(test)]

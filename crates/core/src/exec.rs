@@ -55,16 +55,6 @@ pub struct ExecutionConfig {
     /// is a pure wall-clock knob. It pays off on latency-bound platforms;
     /// on the in-process simulators it is overhead-neutral.
     pub inflight_batches: usize,
-    /// Shard count for contexts that build their own simulated platform
-    /// (e.g. [`CrowdContext::in_memory_sim_with`]); `None` means the
-    /// platform default (one shard). Must be ≥ 1 when set. Ignored when
-    /// the caller supplies a ready-made platform. Like the simulator
-    /// itself, the shard count is part of the reproducibility key: results
-    /// are bit-identical per `(seed, shard_count)`, and different shard
-    /// counts are different (but equally deterministic) crowds.
-    ///
-    /// [`CrowdContext::in_memory_sim_with`]: crate::CrowdContext::in_memory_sim_with
-    pub sim_shards: Option<usize>,
     /// Rotation/compaction policy for contexts that open their own
     /// on-disk database (e.g.
     /// [`CrowdContext::on_disk_with`](crate::CrowdContext::on_disk_with)).
@@ -79,7 +69,6 @@ impl Default for ExecutionConfig {
         ExecutionConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             inflight_batches: DEFAULT_INFLIGHT_BATCHES,
-            sim_shards: None,
             segment_policy: SegmentPolicy::default(),
         }
     }
@@ -97,29 +86,20 @@ impl ExecutionConfig {
         self
     }
 
-    /// Sets the simulated platform's shard count (builder style).
-    pub fn with_sim_shards(mut self, shards: usize) -> Self {
-        self.sim_shards = Some(shards);
-        self
-    }
-
     /// Sets the on-disk segment rotation/compaction policy (builder style).
     pub fn with_segment_policy(mut self, policy: SegmentPolicy) -> Self {
         self.segment_policy = policy;
         self
     }
 
-    /// Rejects invalid configurations (`batch_size == 0`, an explicit
-    /// shard count of 0, or an impossible segment policy).
+    /// Rejects invalid configurations (`batch_size == 0`,
+    /// `inflight_batches == 0`, or an impossible segment policy).
     pub fn validate(&self) -> Result<()> {
         if self.batch_size == 0 {
             return Err(Error::State("batch_size must be at least 1".into()));
         }
         if self.inflight_batches == 0 {
             return Err(Error::State("inflight_batches must be at least 1".into()));
-        }
-        if self.sim_shards == Some(0) {
-            return Err(Error::State("sim_shards must be at least 1 when set".into()));
         }
         self.segment_policy.validate().map_err(|e| Error::State(e.to_string()))?;
         Ok(())
@@ -328,23 +308,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_sim_shards_rejected_but_unset_is_fine() {
-        assert!(ExecutionConfig::default().with_sim_shards(0).validate().is_err());
-        assert!(ExecutionConfig::default().with_sim_shards(4).validate().is_ok());
-        assert_eq!(ExecutionConfig::default().sim_shards, None);
-    }
-
-    #[test]
     fn retuning_preserves_other_knobs() {
         let ec = ExecutionContext::new(
             ExecutionConfig::with_batch_size(7)
-                .with_sim_shards(3)
                 .with_segment_policy(SegmentPolicy::new(4096, 0.25)),
         )
         .unwrap();
         let re = ec.retuned(2).unwrap();
         assert_eq!(re.batch_size(), 2);
-        assert_eq!(re.config().sim_shards, Some(3));
         assert_eq!(re.config().segment_policy, SegmentPolicy::new(4096, 0.25));
     }
 

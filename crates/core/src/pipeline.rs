@@ -60,16 +60,16 @@
 //! vector.
 
 use crate::context::CrowdContext;
-use crate::crowddata::RunStats;
+use crate::crowddata::{votes_over, RunStats};
 use crate::error::{Error, Result};
 use crate::hash::RowHashes;
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
-use crate::value::{canonical, Value};
-use reprowd_platform::types::{TaskId, TaskSpec};
+use crate::value::Value;
+use reprowd_platform::types::{TaskId, TaskRun, TaskSpec};
 use reprowd_platform::IssueGate;
-use reprowd_quality::{majority_vote_matrix, TiePolicy, VoteMatrix};
-use std::collections::{BTreeMap, HashMap};
+use reprowd_quality::{majority_vote_matrix, TiePolicy};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 
@@ -500,15 +500,8 @@ fn ensure_project(cc: &CrowdContext, manifest: &mut Manifest, presenter: &Presen
 /// [`CrowdData::majority_vote`](crate::CrowdData::majority_vote), with
 /// identical semantics: answers outside the space are dropped, ties break
 /// toward the earlier space entry, no votes yields `Null`.
-pub fn majority_answer(runs: &[reprowd_platform::types::TaskRun], space: &[Value]) -> Value {
-    let index: HashMap<String, usize> =
-        space.iter().enumerate().map(|(i, v)| (canonical(v), i)).collect();
-    let mut matrix = VoteMatrix::new(space.len().max(1), 1);
-    for run in runs {
-        if let Some(&label) = index.get(&canonical(&run.answer)) {
-            matrix.push_vote(0, run.worker_id, label);
-        }
-    }
+pub fn majority_answer(runs: &[TaskRun], space: &[Value]) -> Value {
+    let matrix = votes_over(space, std::iter::once(runs));
     match majority_vote_matrix(&matrix, TiePolicy::LowestLabel)[0] {
         Some(l) => space.get(l).cloned().unwrap_or(Value::Null),
         None => Value::Null,

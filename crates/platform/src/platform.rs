@@ -54,10 +54,8 @@ pub(crate) fn still_open(tasks: &[TaskId], status: &[Option<bool>]) -> Result<us
 ///
 /// The pipelined execution engine invokes the `*_pipelined` bulk variants
 /// from several threads at once, so implementations must tolerate
-/// concurrent bulk calls (every in-tree platform serializes internally; the
-/// sharded simulator takes its locks in a fixed global order — registry,
-/// then shards by ascending index — so mixed concurrent bulk publishes,
-/// fetches, and probes cannot deadlock). Determinism does **not** rest on
+/// concurrent bulk calls (every in-tree platform serializes internally).
+/// Determinism does **not** rest on
 /// implementations being order-insensitive: each pipelined variant's
 /// default wraps the call's *effect* in an [`IssueGate`] turn, so whatever
 /// a platform does — allocate ids, tick clocks, charge budgets — happens in
@@ -159,11 +157,7 @@ pub trait CrowdPlatform: Send + Sync {
     /// progress *unlisted* open tasks past the point where the listed ones
     /// complete; this never changes already-completed tasks (their runs
     /// are immutable), only how far still-open ones have advanced when the
-    /// call returns. Platforms with internal parallelism override this
-    /// with a faster driver ([`SimPlatform`] drains each of its shards on
-    /// its own thread).
-    ///
-    /// [`SimPlatform`]: crate::SimPlatform
+    /// call returns.
     fn run_until_complete(&self, tasks: &[TaskId]) -> Result<()> {
         if still_open(tasks, &self.are_complete(tasks)?)? == 0 {
             return Ok(());
@@ -313,7 +307,6 @@ mod tests {
         };
         probe_storm(&MockPlatform::echo());
         probe_storm(&SimPlatform::quick(3, 0.9, 1));
-        probe_storm(&SimPlatform::sharded(8, 0.9, 1, 2));
 
         let failing = FailingPlatform::new(Arc::new(MockPlatform::echo()), 100);
         probe_storm(&failing);

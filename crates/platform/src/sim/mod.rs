@@ -1,9 +1,9 @@
-//! The simulated crowd: worker models, answer models, and the sharded
-//! event loop ([`engine`] drives one independent `shard::Shard` per
-//! hash partition of the task/worker id space).
+//! The simulated crowd: worker models, answer models, and the
+//! deterministic event loop ([`engine`] drives one `world::World` under
+//! one lock).
 
 pub mod answer;
 pub mod engine;
 pub mod latency;
-pub(crate) mod shard;
 pub mod worker;
+pub(crate) mod world;

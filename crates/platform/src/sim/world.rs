@@ -1,15 +1,16 @@
-//! One shard of the sharded simulator: a self-contained discrete-event
-//! loop over the tasks and workers hashed to it.
+//! The simulated world behind [`SimPlatform`](crate::SimPlatform): one
+//! discrete-event loop over every project, task, run, and worker.
 //!
-//! A shard owns *all* state its events touch — tasks, runs, the open-task
-//! queue, the worker availability heap, and its own RNG — so shards never
-//! synchronize with each other and can be driven from different threads
-//! while staying bit-for-bit deterministic per `(seed, shard_count)`.
+//! The world owns *all* state an event touches — the project registry and
+//! id counters, tasks, runs, the open-task queue, the worker availability
+//! heap, the clock, and one RNG seeded with the platform seed — and the
+//! platform drives it under a single lock, so a seed and the ordered call
+//! sequence determine every answer bit for bit.
 //!
 //! The matching hot path is O(1) amortized per event:
 //!
 //! * `open` is an **append-only queue with tombstones**: completing a task
-//!   nulls its slot instead of shifting the queue (the pre-shard engine's
+//!   nulls its slot instead of shifting the queue (the original engine's
 //!   `open.retain` was O(open) per completion).
 //! * `open_head` lazily skips the tombstoned prefix, so the global "oldest
 //!   open task" is found without scanning.
@@ -25,22 +26,30 @@ use crate::error::{Error, Result};
 use crate::sim::answer::AnswerModel;
 use crate::sim::latency::lognormal;
 use crate::sim::worker::WorkerProfile;
-use crate::types::{SimTime, Task, TaskId, TaskRun, TaskStatus, WorkerId};
+use crate::types::{
+    Project, ProjectId, SimTime, Task, TaskId, TaskRun, TaskSpec, TaskStatus, WorkerId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-/// One independent slice of the simulated world.
-pub(crate) struct Shard {
-    /// Tasks owned by this shard, by id.
+/// The whole simulated platform state.
+pub(crate) struct World {
+    /// Projects by id.
+    projects: HashMap<ProjectId, Project>,
+    /// Id the next created project receives.
+    next_project: ProjectId,
+    /// Id the next published task receives.
+    next_task: TaskId,
+    /// Every published task, by id.
     pub(crate) tasks: HashMap<TaskId, Task>,
     /// Runs collected per task.
     pub(crate) runs: HashMap<TaskId, Vec<TaskRun>>,
     /// Workers who already *submitted* a run for the task (the platform
     /// invariant: at most one run per worker per task).
     answered_by: HashMap<TaskId, HashSet<WorkerId>>,
-    /// Answer model parsed once at publish time (the pre-shard engine
+    /// Answer model parsed once at publish time (the original engine
     /// re-extracted it from the payload on every event).
     models: HashMap<TaskId, Option<AnswerModel>>,
     /// Open tasks in publish order; completion tombstones the slot.
@@ -55,20 +64,20 @@ pub(crate) struct Shard {
     parked: Vec<(WorkerId, SimTime)>,
     /// Per-worker resume point into `open`; monotone, never rewinds.
     cursor: HashMap<WorkerId, usize>,
-    /// This shard's slice of the roster, indexed for O(1) profile lookup.
+    /// The roster, indexed for O(1) profile lookup.
     profiles: HashMap<WorkerId, WorkerProfile>,
-    /// The shard's virtual clock (simulated milliseconds).
+    /// The virtual clock (simulated milliseconds).
     pub(crate) clock: SimTime,
     rng: StdRng,
     /// Events processed (submitted runs *and* abandonments).
     pub(crate) events: u64,
 }
 
-impl Shard {
-    /// Builds a shard over `workers` (in roster order — their position is
-    /// the initial availability stagger, exactly like the pre-shard
-    /// engine's pool order) with the given derived seed.
-    pub(crate) fn new(workers: Vec<WorkerProfile>, shard_seed: u64) -> Self {
+impl World {
+    /// Builds an empty world over `workers` (in roster order — their
+    /// position is the initial availability stagger) with an RNG seeded
+    /// with `seed`.
+    pub(crate) fn new(workers: Vec<WorkerProfile>, seed: u64) -> Self {
         let mut available = BinaryHeap::with_capacity(workers.len());
         let mut profiles = HashMap::with_capacity(workers.len());
         for (i, w) in workers.into_iter().enumerate() {
@@ -76,7 +85,10 @@ impl Shard {
             available.push(Reverse((i as SimTime, w.id)));
             profiles.insert(w.id, w);
         }
-        Shard {
+        World {
+            projects: HashMap::new(),
+            next_project: 1,
+            next_task: 1,
             tasks: HashMap::new(),
             runs: HashMap::new(),
             answered_by: HashMap::new(),
@@ -89,14 +101,66 @@ impl Shard {
             cursor: HashMap::new(),
             profiles,
             clock: 0,
-            rng: StdRng::seed_from_u64(shard_seed),
+            rng: StdRng::seed_from_u64(seed),
             events: 0,
         }
     }
 
-    /// Registers a published task (the engine allocated its id and stamped
-    /// `published_at` with this shard's clock).
-    pub(crate) fn insert_task(&mut self, task: Task) {
+    /// Registers a project stamped with the current clock.
+    pub(crate) fn create_project(&mut self, name: &str) -> ProjectId {
+        let id = self.next_project;
+        self.next_project += 1;
+        let project = Project { id, name: name.to_string(), created_at: self.clock };
+        self.projects.insert(id, project);
+        id
+    }
+
+    /// Looks up a project.
+    pub(crate) fn project(&self, id: ProjectId) -> Result<Project> {
+        self.projects.get(&id).cloned().ok_or(Error::UnknownProject(id))
+    }
+
+    /// Registers already-validated specs as tasks of `project`, with
+    /// consecutive ids stamped with the current clock, and wakes parked
+    /// workers for the new work.
+    pub(crate) fn publish(
+        &mut self,
+        project: ProjectId,
+        specs: Vec<TaskSpec>,
+    ) -> Result<Vec<Task>> {
+        if !self.projects.contains_key(&project) {
+            return Err(Error::UnknownProject(project));
+        }
+        let tasks: Vec<Task> = specs
+            .into_iter()
+            .map(|spec| {
+                let task = Task {
+                    id: self.next_task,
+                    project_id: project,
+                    payload: spec.payload,
+                    n_assignments: spec.n_assignments,
+                    published_at: self.clock,
+                    status: TaskStatus::Open,
+                };
+                self.next_task += 1;
+                self.insert_task(task.clone());
+                task
+            })
+            .collect();
+        self.wake_parked();
+        Ok(tasks)
+    }
+
+    /// Completion status per task: `None` for ids the world does not know.
+    pub(crate) fn status(&self, tasks: &[TaskId]) -> Vec<Option<bool>> {
+        tasks
+            .iter()
+            .map(|t| self.tasks.get(t).map(|task| task.status == TaskStatus::Completed))
+            .collect()
+    }
+
+    /// Registers a task and appends it to the open queue.
+    fn insert_task(&mut self, task: Task) {
         let id = task.id;
         self.models.insert(id, AnswerModel::extract(&task.payload));
         self.tasks.insert(id, task);
@@ -108,7 +172,7 @@ impl Shard {
 
     /// Re-queues every parked worker (new work may have arrived, or a
     /// completion may have freed up an eligible slot).
-    pub(crate) fn wake_parked(&mut self) {
+    fn wake_parked(&mut self) {
         let clock = self.clock;
         for (w, at) in std::mem::take(&mut self.parked) {
             self.available.push(Reverse((at.max(clock), w)));
@@ -118,7 +182,7 @@ impl Shard {
     /// Processes one event: pops the earliest-available worker, matches
     /// them with the oldest open task they have not answered, and samples
     /// their think-time and answer (or abandonment). Returns `false` when
-    /// no further progress is possible on this shard.
+    /// no further progress is possible.
     pub(crate) fn step(&mut self) -> Result<bool> {
         if self.open_live == 0 {
             return Ok(false);
@@ -126,7 +190,7 @@ impl Shard {
         // Pop workers until one can be matched with an open task.
         while let Some(Reverse((avail_at, worker_id))) = self.available.pop() {
             // Advance the global head past the tombstoned prefix (paid once
-            // per completed task over the shard's whole lifetime).
+            // per completed task over the world's whole lifetime).
             while self.open.get(self.open_head) == Some(&None) {
                 self.open_head += 1;
             }
@@ -221,15 +285,15 @@ mod tests {
         }
     }
 
-    fn shard(n_workers: u64) -> Shard {
+    fn world(n_workers: u64) -> World {
         let workers =
             (1..=n_workers).map(|id| WorkerProfile::with_ability(id, 1.0)).collect();
-        Shard::new(workers, 7)
+        World::new(workers, 7)
     }
 
     #[test]
     fn completion_tombstones_instead_of_shifting() {
-        let mut s = shard(3);
+        let mut s = world(3);
         for id in 1..=3 {
             s.insert_task(task(id, 1));
         }
@@ -244,7 +308,7 @@ mod tests {
 
     #[test]
     fn cursors_never_rewind() {
-        let mut s = shard(2);
+        let mut s = world(2);
         for id in 1..=6 {
             s.insert_task(task(id, 2));
         }
@@ -259,11 +323,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_shard_makes_no_progress() {
-        let mut s = shard(0);
+    fn empty_world_makes_no_progress() {
+        let mut s = world(0);
         assert!(!s.step().unwrap());
         s.insert_task(task(1, 1));
-        // A task but no workers: the shard stalls rather than panics.
+        // A task but no workers: the world stalls rather than panics.
         assert!(!s.step().unwrap());
         assert_eq!(s.events, 0);
     }

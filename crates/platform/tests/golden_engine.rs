@@ -1,10 +1,10 @@
 //! Pins the simulation engine's exact behavior against a recorded fixture.
 //!
-//! The fixture (`tests/fixtures/golden_seed_world.json`) was generated by
-//! the pre-shard engine (PR 2). The sharded engine at `shards = 1` must
-//! reproduce it bit-for-bit — every task record, every run, every
-//! timestamp, the final clock, and the API-call count — which is the
-//! ground truth behind the `(seed, shard_count)` determinism contract.
+//! The fixture (`tests/fixtures/golden_seed_world.json`) was recorded
+//! from an earlier engine, before the O(1) matching rewrite. The current
+//! engine must reproduce it bit-for-bit — every task record, every run,
+//! every timestamp, the final clock, and the API-call count — which is the
+//! ground truth behind the per-seed determinism contract.
 //!
 //! Regenerate (only when the engine's behavior is *intentionally* changed)
 //! with `GOLDEN_REGEN=1 cargo test -p reprowd-platform --test golden_engine`.

@@ -1,6 +1,6 @@
 //! Property tests of the platform simulator's invariants: determinism,
 //! redundancy exactness, worker-distinctness, and timestamp sanity — for
-//! arbitrary pool sizes, task counts, seeds, and shard counts.
+//! arbitrary pool sizes, task counts, and seeds.
 
 use proptest::prelude::*;
 use reprowd_platform::{
@@ -108,35 +108,21 @@ proptest! {
         }
     }
 
-    /// The sharded determinism contract: a random publish/step/fetch
-    /// sequence replayed on the same `(seed, shard_count)` produces a
-    /// bit-identical world — whether shards are driven one event at a time
-    /// from this thread (`step`'s round-robin) or drained to quiescence on
-    /// one thread per shard (`run_until_complete`), and however the OS
-    /// schedules those threads across repetitions.
+    /// The determinism contract: a random publish/step/fetch sequence
+    /// replayed on the same seed produces a bit-identical world — whether
+    /// the world is drained to quiescence (`run_until_complete`) or driven
+    /// one event at a time (`step`).
     #[test]
-    fn sharded_replay_is_bit_identical(
+    fn replay_is_bit_identical(
         n_workers in 4usize..24,
         n_first in 1usize..12,
         n_second in 0usize..12,
         mid_steps in 0usize..30,
         redundancy in 1u32..3,
-        shards in 1usize..5,
         seed in 0u64..10_000,
     ) {
-        let build = || {
-            SimPlatform::new(
-                SimConfig::new(WorkerPool::uniform(n_workers, 0.85), seed)
-                    .with_shards(shards),
-            )
-        };
-        // Skip placements the partitioning legitimately rejects (a spec's
-        // redundancy exceeding its home shard's roster).
-        prop_assume!(
-            build().shard_worker_counts().iter().all(|&c| c >= redundancy as usize)
-        );
-        let world = |parallel_drain: bool| {
-            let p = build();
+        let world = |drain: bool| {
+            let p = SimPlatform::new(SimConfig::new(WorkerPool::uniform(n_workers, 0.85), seed));
             let proj = p.create_project("replay").unwrap();
             // Wave 1 in bulk, a burst of manual single steps mid-flight,
             // then wave 2 one task at a time onto the warm world.
@@ -155,7 +141,7 @@ proptest! {
             for t in 0..n_second {
                 ids.push(p.publish_task(proj, spec(t % 2, redundancy)).unwrap().id);
             }
-            if parallel_drain {
+            if drain {
                 p.run_until_complete(&ids).unwrap();
             } else {
                 while p.step().unwrap() {}
@@ -163,10 +149,10 @@ proptest! {
             let tasks: Vec<_> = ids.iter().map(|&id| p.task(id).unwrap()).collect();
             (tasks, p.fetch_runs_bulk(&ids).unwrap(), p.now(), p.events())
         };
-        let parallel = world(true);
-        // Repeated parallel runs agree (fresh threads, fresh schedules)…
-        prop_assert_eq!(&parallel, &world(true));
-        // …and agree with the purely sequential single-step driver.
-        prop_assert_eq!(&parallel, &world(false));
+        let drained = world(true);
+        // Repeated runs agree…
+        prop_assert_eq!(&drained, &world(true));
+        // …and agree with the single-step driver.
+        prop_assert_eq!(&drained, &world(false));
     }
 }
