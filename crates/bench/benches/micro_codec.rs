@@ -3,7 +3,9 @@
 //! row's object that every cache key hashes.
 //!
 //! The cells are the first task and result rows of the committed legacy
-//! database (`crates/core/tests/fixtures/legacy_db`).
+//! database (`crates/core/tests/fixtures/legacy_db`). `task_decode_keep_10k`
+//! decodes 10,000 task cells into one `Vec` and drops it, as a rerun's
+//! cache pass does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use reprowd_core::store::{StoredResult, StoredTask};
@@ -32,6 +34,16 @@ fn bench_codec(c: &mut Criterion) {
         b.iter(|| serde_json::from_slice::<StoredResult>(black_box(RESULT.as_bytes())).unwrap())
     });
     g.bench_function("canonical_object", |b| b.iter(|| canonical(black_box(&task.object))));
+    // A rerun decodes every cell and keeps them all: the allocator and
+    // memory cost a warm single-cell loop hides.
+    g.bench_function("task_decode_keep_10k", |b| {
+        b.iter(|| {
+            let cells: Vec<StoredTask> = (0..10_000)
+                .map(|_| serde_json::from_slice(black_box(TASK.as_bytes())).unwrap())
+                .collect();
+            drop(black_box(cells));
+        })
+    });
     g.finish();
 }
 

@@ -21,7 +21,8 @@
 
 use crate::context::CrowdContext;
 use crate::error::{Error, Result};
-use crate::hash::RowHashes;
+use crate::exec::par_rows;
+use crate::hash::{hash_value, RowHashes};
 use crate::pipeline::{run_chunks, ChunkRow, Stage};
 use crate::presenter::Presenter;
 use crate::store::{ExperimentStore, Manifest, StoredResult, StoredTask};
@@ -137,12 +138,15 @@ impl CrowdData {
     pub fn extend_data(mut self, objects: Vec<Value>) -> Result<Self> {
         self.data_set = true;
         self.rows.reserve(objects.len());
+        // Content hashes in parallel; the `-k` duplicate suffixes in row
+        // order.
         let mut hashes = RowHashes::default();
-        for row in &self.rows {
-            hashes.next(&row.object);
+        for h in par_rows(&self.rows, |row| hash_value(&row.object)) {
+            hashes.next_hashed(h);
         }
-        for object in objects {
-            let hash = hashes.next(&object);
+        let fresh = par_rows(&objects, hash_value);
+        for (object, h) in objects.into_iter().zip(fresh) {
+            let hash = hashes.next_hashed(h);
             self.rows.push(Row {
                 index: self.rows.len(),
                 hash,
@@ -219,15 +223,22 @@ impl CrowdData {
             self.save_manifest()?;
         }
 
-        // Serial cache pass: serve cache hits; the rows that genuinely need
-        // the crowd go to the engine's publish stage.
-        let mut misses = Vec::new();
-        for (i, row) in self.rows.iter_mut().enumerate() {
+        // Cache pass: look every row up in parallel, then serve the hits
+        // in row order; the rows that genuinely need the crowd go to the
+        // engine's publish stage.
+        let (name, store) = (&self.manifest.name, self.ctx.store());
+        let lookups = par_rows(&self.rows, |row| -> Result<_> {
             if row.task.is_some() {
-                continue;
+                return Ok(None);
             }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &row.hash);
-            if let Some(cached) = self.ctx.store().tasks.get(key.as_bytes())? {
+            let key = ExperimentStore::row_key(name, &fp, &row.hash);
+            let cached = store.tasks.get(key.as_bytes())?;
+            Ok(Some((key, cached)))
+        });
+        let mut misses = Vec::new();
+        for (i, (row, lookup)) in self.rows.iter_mut().zip(lookups).enumerate() {
+            let Some((key, cached)) = lookup? else { continue };
+            if let Some(cached) = cached {
                 row.task = Some(cached);
                 self.stats.tasks_reused += 1;
                 continue;
@@ -302,15 +313,22 @@ impl CrowdData {
             .clone()
             .ok_or_else(|| Error::State("collect before presenter".into()))?;
         let fp = presenter.fingerprint();
-        // Serial cache pass: serve cached results; the remaining rows are
-        // candidates for the platform.
-        let mut candidates = Vec::new();
-        for (i, row) in self.rows.iter_mut().enumerate() {
+        // Cache pass: look every row up in parallel, then serve the cached
+        // results in row order; the remaining rows are candidates for the
+        // platform.
+        let (name, store) = (&self.manifest.name, self.ctx.store());
+        let lookups = par_rows(&self.rows, |row| -> Result<_> {
             if row.result.is_some() {
-                continue;
+                return Ok(None);
             }
-            let key = ExperimentStore::row_key(&self.manifest.name, &fp, &row.hash);
-            if let Some(cached) = self.ctx.store().results.get(key.as_bytes())? {
+            let key = ExperimentStore::row_key(name, &fp, &row.hash);
+            let cached = store.results.get(key.as_bytes())?;
+            Ok(Some((key, cached)))
+        });
+        let mut candidates = Vec::new();
+        for (i, (row, lookup)) in self.rows.iter_mut().zip(lookups).enumerate() {
+            let Some((key, cached)) = lookup? else { continue };
+            if let Some(cached) = cached {
                 row.result = Some(cached);
                 self.stats.results_reused += 1;
                 continue;

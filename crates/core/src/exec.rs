@@ -278,9 +278,111 @@ impl ExecutionContext {
     }
 }
 
+/// Fewest rows one thread of [`par_rows`] takes: below two slices' worth
+/// the pass runs inline, where a thread's start-up would cost more than it
+/// saves.
+const MIN_ROWS_PER_THREAD: usize = 1024;
+
+/// Maps `f` over `items` on up to `available_parallelism()` threads and
+/// returns the results in item order.
+///
+/// This is the cache pass of a rerun (key building, store gets, cell
+/// decoding, content hashing): per-row work with no shared state and no
+/// platform traffic. The caller merges the results serially, so every
+/// count and the first error by row index are what a serial loop gives.
+pub(crate) fn par_rows<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    par_rows_on(threads, items, f)
+}
+
+/// [`par_rows`] on at most `threads` threads: contiguous slices of at
+/// least [`MIN_ROWS_PER_THREAD`] rows, the first on the calling thread.
+fn par_rows_on<T: Sync, U: Send>(
+    threads: usize,
+    items: &[T],
+    f: impl Fn(&T) -> U + Sync,
+) -> Vec<U> {
+    let n = items.len();
+    let slices = threads.min(n / MIN_ROWS_PER_THREAD).max(1);
+    if slices == 1 {
+        return items.iter().map(f).collect();
+    }
+    // Slice `k` is `[k·n/slices, (k+1)·n/slices)`: sizes differ by at most
+    // one row, so each holds at least `MIN_ROWS_PER_THREAD`.
+    let slice = |k: usize| &items[k * n / slices..(k + 1) * n / slices];
+    let f = &f;
+    std::thread::scope(|s| {
+        let rest: Vec<_> = (1..slices)
+            .map(|k| s.spawn(move || slice(k).iter().map(f).collect::<Vec<U>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        out.extend(slice(0).iter().map(f));
+        for handle in rest {
+            out.extend(handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)));
+        }
+        out
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn par_rows_keeps_item_order_at_every_thread_count() {
+        for threads in [1, 2, 7] {
+            for n in [0, 1, 1023, 2047, 2048, 3000, 7 * 1024 + 5, 20_000] {
+                let items: Vec<usize> = (0..n).collect();
+                let out = par_rows_on(threads, &items, |&i| i * 3);
+                assert_eq!(
+                    out,
+                    (0..n).map(|i| i * 3).collect::<Vec<_>>(),
+                    "{threads} threads, {n} rows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn par_rows_lowest_index_error_wins() {
+        let items: Vec<usize> = (0..10_000).collect();
+        for threads in [1, 2, 7] {
+            // Errors in several slices, none of them the first slice.
+            let out = par_rows_on(threads, &items, |&i| match i {
+                5_555 | 8_000 | 9_999 => Err(format!("row {i}")),
+                _ => Ok(i),
+            });
+            let first = out.into_iter().collect::<std::result::Result<Vec<_>, _>>();
+            assert_eq!(first, Err("row 5555".to_string()), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn par_rows_runs_small_inputs_inline_and_splits_large_ones() {
+        let caller = std::thread::current().id();
+        let threads_used = |threads: usize, n: usize| {
+            let items = vec![(); n];
+            let ids = par_rows_on(threads, &items, |_| std::thread::current().id());
+            let mut distinct: Vec<_> = Vec::new();
+            for id in ids {
+                if !distinct.contains(&id) {
+                    distinct.push(id);
+                }
+            }
+            assert_eq!(distinct[0], caller, "the first slice runs on the calling thread");
+            distinct.len()
+        };
+        // Fewer than two slices' worth of rows: one slice, inline.
+        for threads in [1, 2, 7] {
+            assert_eq!(threads_used(threads, 1), 1);
+            assert_eq!(threads_used(threads, 2 * MIN_ROWS_PER_THREAD - 1), 1);
+        }
+        assert_eq!(threads_used(1, 20_000), 1);
+        assert_eq!(threads_used(2, 2 * MIN_ROWS_PER_THREAD), 2);
+        assert_eq!(threads_used(7, 20_000), 7);
+        // Never more slices than whole minimum slices.
+        assert_eq!(threads_used(7, 3 * MIN_ROWS_PER_THREAD + 1), 3);
+    }
 
     #[test]
     fn zero_batch_size_rejected() {

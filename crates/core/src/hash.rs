@@ -43,7 +43,11 @@ pub(crate) struct RowHashes(HashMap<u64, usize>);
 impl RowHashes {
     /// The hash of the next row, holding `object`.
     pub(crate) fn next(&mut self, object: &Value) -> String {
-        let h = hash_value(object);
+        self.next_hashed(hash_value(object))
+    }
+
+    /// The hash of the next row, whose object's [`hash_value`] is `h`.
+    pub(crate) fn next_hashed(&mut self, h: u64) -> String {
         let seen = self.0.entry(h).or_insert(0);
         let hash = if *seen == 0 { hex(h) } else { format!("{}-{}", hex(h), *seen) };
         *seen += 1;

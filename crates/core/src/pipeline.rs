@@ -17,8 +17,8 @@
 //! | caller | what it runs |
 //! |--------|--------------|
 //! | [`run_stream`] | its cache lookups, then all four stages per chunk |
-//! | `publish` | its serial cache pass, then the publish stage over the misses |
-//! | `collect` | its serial cache pass, then the probe stage over the candidates, the publish stage over the lost rows, one `run_until_complete` over every pending task, and the fetch stage |
+//! | `publish` | its row-parallel cache pass, then the publish stage over the misses |
+//! | `collect` | its row-parallel cache pass, then the probe stage over the candidates, the publish stage over the lost rows, one `run_until_complete` over every pending task, and the fetch stage |
 //!
 //! Every chunk commits through one path, on the calling thread and strictly
 //! in chunk order: its new task cells in one atomic store write, its fetched

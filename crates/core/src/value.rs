@@ -2,10 +2,10 @@
 //!
 //! CrowdData cells hold JSON values (`serde_json::Value`): the database file
 //! a researcher ships must be self-describing, and JSON is what the
-//! original system stored in SQLite. `serde_json`'s default object map is a
-//! `BTreeMap`, so serializing a [`Value`] yields a *canonical* byte string
-//! (keys sorted) — which is what makes content-hashed cache keys stable
-//! across runs and machines.
+//! original system stored in SQLite. The vendored `serde_json` object map
+//! keeps its keys sorted (the order a `BTreeMap` iterates in), so
+//! serializing a [`Value`] yields a *canonical* byte string — which is what
+//! makes content-hashed cache keys stable across runs and machines.
 
 /// The cell/object type of CrowdData tables.
 pub type Value = serde_json::Value;
