@@ -24,6 +24,9 @@ fn bench_simjoin(c: &mut Criterion) {
 
     let small = corpus(150); // ~300 records
     let cfg = JoinConfig::new(SetSimilarity::Jaccard, 0.4);
+    // The filtered join must return exactly the oracle's pairs, or the
+    // timings are moot.
+    assert_eq!(self_join(&small, &cfg), brute_force_self_join(&small, &cfg));
 
     g.bench_function("prefix_filtered_300rec", |b| {
         b.iter(|| std::hint::black_box(self_join(&small, &cfg)));

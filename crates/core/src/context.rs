@@ -143,23 +143,22 @@ impl CrowdContext {
             .collect())
     }
 
-    /// Deletes an experiment: its manifest and every cached task/result.
-    /// The platform-side project (if any) is left as-is, like the original
-    /// system (PyBossa projects outlive local state).
+    /// Deletes an experiment: its manifest and every cached task/result,
+    /// under every presenter it was ever published with. The platform-side
+    /// project (if any) is left as-is, like the original system (PyBossa
+    /// projects outlive local state).
     pub fn delete_experiment(&self, name: &str) -> Result<()> {
-        let Some(manifest) = self.store.manifests.get(name.as_bytes())? else {
+        if self.store.manifests.get(name.as_bytes())?.is_none() {
             return Ok(());
-        };
-        if let Some(fp) = &manifest.presenter_fingerprint {
-            // scan_prefix returns full row keys (within the table), so they
-            // can be removed directly.
-            let prefix = ExperimentStore::prefix(name, fp);
-            for (key, _) in self.store.tasks.scan_prefix(prefix.as_bytes())? {
-                self.store.tasks.remove(&key)?;
-            }
-            for (key, _) in self.store.results.scan_prefix(prefix.as_bytes())? {
-                self.store.results.remove(&key)?;
-            }
+        }
+        // scan_prefix returns full row keys (within the table), so they can
+        // be removed directly.
+        let prefix = ExperimentStore::prefix(name);
+        for (key, _) in self.store.tasks.scan_prefix(prefix.as_bytes())? {
+            self.store.tasks.remove(&key)?;
+        }
+        for (key, _) in self.store.results.scan_prefix(prefix.as_bytes())? {
+            self.store.results.remove(&key)?;
         }
         self.store.manifests.remove(name.as_bytes())?;
         Ok(())

@@ -639,6 +639,11 @@ mod tests {
     }
 
     fn figure2(cc: &CrowdContext, name: &str) -> CrowdData {
+        asking(cc, name, "Is this a cat?").majority_vote().unwrap()
+    }
+
+    /// Publishes and collects the paper's Bob experiment under `question`.
+    fn asking(cc: &CrowdContext, name: &str, question: &str) -> CrowdData {
         // The paper's Bob experiment over the simulated crowd: objects carry
         // the answer model a real crowd would infer by looking at the image.
         let objects: Vec<Value> = (0..3)
@@ -653,13 +658,11 @@ mod tests {
             .unwrap()
             .data(objects)
             .unwrap()
-            .presenter(Presenter::image_label("Is this a cat?", &["Yes", "No"]))
+            .presenter(Presenter::image_label(question, &["Yes", "No"]))
             .unwrap()
             .publish(3)
             .unwrap()
             .collect()
-            .unwrap()
-            .majority_vote()
             .unwrap()
     }
 
@@ -759,6 +762,31 @@ mod tests {
             .unwrap();
         assert_eq!(cd.run_stats().tasks_published, 3);
         assert!(platform.api_calls() > calls_before);
+    }
+
+    #[test]
+    fn delete_experiment_removes_cells_of_every_presenter() {
+        let (cc, platform) = sim_ctx(7);
+        // A sibling whose name shares the prefix "bob".
+        let sibling = asking(&cc, "bob2", "Is this a cat?").column("result").unwrap();
+        let live_before = cc.backend().stats().live_keys;
+        // Bob's experiment under presenter A, then under presenter B.
+        let _ = asking(&cc, "bob", "Is this a cat?");
+        let _ = asking(&cc, "bob", "Is this a DOG?");
+        cc.delete_experiment("bob").unwrap();
+        let live_after = cc.backend().stats().live_keys;
+        assert_eq!(live_after, live_before, "no cell of any presenter survives");
+        // A rerun under presenter A is served by the crowd, not by deleted cells.
+        let calls = platform.api_calls();
+        let rerun = asking(&cc, "bob", "Is this a cat?");
+        assert!(platform.api_calls() > calls);
+        assert_eq!(rerun.run_stats().tasks_reused, 0);
+        // The sibling is untouched: its rerun is free and identical.
+        let calls = platform.api_calls();
+        let again = asking(&cc, "bob2", "Is this a cat?");
+        assert_eq!(platform.api_calls(), calls);
+        assert_eq!(again.run_stats().tasks_reused, 3);
+        assert_eq!(again.column("result").unwrap(), sibling);
     }
 
     #[test]

@@ -93,9 +93,11 @@ impl ExperimentStore {
         })
     }
 
-    /// The cache-key prefix of an experiment + presenter combination.
-    pub fn prefix(experiment: &str, presenter_fp: &str) -> String {
-        format!("{experiment}/{presenter_fp}/")
+    /// The cache-key prefix of every cell of an experiment, under any
+    /// presenter. Names cannot contain `/`, so it matches no other
+    /// experiment's keys.
+    pub fn prefix(experiment: &str) -> String {
+        format!("{experiment}/")
     }
 
     /// Full cache key for a row.
@@ -197,11 +199,11 @@ mod tests {
     #[test]
     fn prefix_scan_isolates_experiments() {
         let s = store();
-        for (exp, h) in [("a", "1"), ("a", "2"), ("b", "1")] {
+        for (exp, h) in [("a", "1"), ("a", "2"), ("b", "1"), ("ab", "1")] {
             let key = ExperimentStore::row_key(exp, "fp", h);
             s.tasks.put(key.as_bytes(), &task(1)).unwrap();
         }
-        let hits = s.tasks.scan_prefix(ExperimentStore::prefix("a", "fp").as_bytes()).unwrap();
+        let hits = s.tasks.scan_prefix(ExperimentStore::prefix("a").as_bytes()).unwrap();
         assert_eq!(hits.len(), 2);
     }
 

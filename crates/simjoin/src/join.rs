@@ -1,16 +1,16 @@
-//! Similarity-join drivers: candidate generation + verification.
+//! The similarity join: one lazy candidate generator plus verification.
 //!
-//! [`self_join`] returns every pair of records whose similarity clears the
-//! threshold, with the exact score attached, as one materialized vector.
-//! [`self_join_stream`] produces the same *set* of pairs lazily — record by
-//! record against an incrementally built prefix index — so CrowdER's crowd
-//! pass can interleave candidate generation with task publishing and never
-//! hold the full pair list in memory (the resident state is the prefix
-//! index, `O(n · prefix)`, not the `O(n²)`-in-the-worst-case pair set). A
+//! [`self_join_stream`] yields every pair of records whose similarity
+//! clears the threshold, with the exact score attached, record by record
+//! against an incrementally built prefix index — so CrowdER's crowd pass
+//! can interleave candidate generation with task publishing and never hold
+//! the full pair list in memory (the resident state is the prefix index,
+//! `O(n · prefix)`, not the `O(n²)`-in-the-worst-case pair set).
+//! [`self_join`] is that stream drained and sorted by similarity. A
 //! brute-force oracle ([`brute_force_self_join`]) backs the tests and
 //! benchmarks.
 
-use crate::prefix::{build_universe, candidates, prefix_len, OrderedRecord};
+use crate::prefix::{build_universe, prefix_len, OrderedRecord};
 use crate::similarity::SetSimilarity;
 use crate::tokenize::word_set;
 use std::collections::HashMap;
@@ -46,38 +46,24 @@ impl JoinConfig {
 }
 
 /// All pairs of `records` with similarity >= threshold, sorted by
-/// descending similarity then ascending indices.
+/// descending similarity then ascending indices: [`self_join_stream`]
+/// drained and sorted.
 pub fn self_join(records: &[String], config: &JoinConfig) -> Vec<SimPair> {
-    let token_sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
-    self_join_tokens(&token_sets, config)
+    let mut pairs: Vec<SimPair> = self_join_stream(records, config).collect();
+    sort_pairs(&mut pairs);
+    pairs
 }
 
-/// [`self_join`] over pre-tokenized sets (each sorted + deduplicated).
-pub fn self_join_tokens(token_sets: &[Vec<String>], config: &JoinConfig) -> Vec<SimPair> {
-    let universe = build_universe(token_sets);
-    let cands = candidates(&universe, config.measure, config.threshold);
-    let mut out = Vec::new();
-    for (i, j) in cands {
-        let sim = config.measure.compute(&token_sets[i], &token_sets[j]);
-        if sim >= config.threshold {
-            out.push(SimPair { left: i, right: j, similarity: sim });
-        }
-    }
-    sort_pairs(&mut out);
-    out
-}
-
-/// A lazy self-join: yields exactly the pairs [`self_join`] returns, but
-/// one at a time, ordered by the *later* record's index (then the earlier
-/// one's) instead of by descending similarity — the order in which an
-/// incremental index discovers them. Construction tokenizes the corpus and
-/// builds the global token order (`O(n · tokens)`); iteration then probes
-/// and extends the prefix index record by record, so the only pair-related
-/// memory is the handful of verified pairs buffered for the current
-/// record.
+/// A lazy self-join: yields every pair with similarity >= threshold once,
+/// ordered by the *later* record's index (then the earlier one's) — the
+/// order in which an incremental index discovers them. Construction
+/// tokenizes the corpus and builds the global token order
+/// (`O(n · tokens)`); iteration then probes and extends the prefix index
+/// record by record, so the only pair-related memory is the handful of
+/// verified pairs buffered for the current record.
 pub fn self_join_stream<'a>(records: &[String], config: &'a JoinConfig) -> SelfJoinStream<'a> {
     let token_sets: Vec<Vec<String>> = records.iter().map(|r| word_set(r)).collect();
-    let ordered = build_universe(&token_sets).records;
+    let ordered = build_universe(&token_sets);
     SelfJoinStream {
         ordered,
         config,
@@ -146,35 +132,6 @@ impl Iterator for SelfJoinStream<'_> {
             }
         }
     }
-}
-
-/// Join two collections: pairs `(i, j)` with `left[i] ~ right[j]`.
-///
-/// Implemented over the combined universe with a partition check — adequate
-/// for the corpus sizes Reprowd experiments use (10³–10⁵ records).
-pub fn rs_join(left: &[String], right: &[String], config: &JoinConfig) -> Vec<SimPair> {
-    let mut token_sets: Vec<Vec<String>> = Vec::with_capacity(left.len() + right.len());
-    token_sets.extend(left.iter().map(|r| word_set(r)));
-    token_sets.extend(right.iter().map(|r| word_set(r)));
-    let universe = build_universe(&token_sets);
-    let cands = candidates(&universe, config.measure, config.threshold);
-    let mut out = Vec::new();
-    for (i, j) in cands {
-        // Keep only cross-partition pairs, remapped to (left_idx, right_idx).
-        let (l, r) = if i < left.len() && j >= left.len() {
-            (i, j - left.len())
-        } else if j < left.len() && i >= left.len() {
-            (j, i - left.len())
-        } else {
-            continue;
-        };
-        let sim = config.measure.compute(&token_sets[l], &token_sets[left.len() + r]);
-        if sim >= config.threshold {
-            out.push(SimPair { left: l, right: r, similarity: sim });
-        }
-    }
-    sort_pairs(&mut out);
-    out
 }
 
 /// O(n²) oracle used to validate the filtered join.
@@ -246,10 +203,9 @@ mod tests {
             for measure in [SetSimilarity::Jaccard, SetSimilarity::Dice] {
                 let cfg = JoinConfig::new(measure, threshold);
                 let mut streamed: Vec<SimPair> = self_join_stream(&records, &cfg).collect();
-                let mut materialized = self_join(&records, &cfg);
                 sort_pairs(&mut streamed);
-                sort_pairs(&mut materialized);
-                assert_eq!(streamed, materialized, "θ={threshold}, {measure:?}");
+                let oracle = brute_force_self_join(&records, &cfg);
+                assert_eq!(streamed, oracle, "θ={threshold}, {measure:?}");
             }
         }
     }
@@ -283,22 +239,22 @@ mod tests {
     }
 
     #[test]
-    fn rs_join_crosses_partitions_only() {
-        let left = vec!["apple iphone six".to_string(), "nokia 3310".to_string()];
-        let right =
-            vec!["iphone six apple".to_string(), "totally unrelated record".to_string()];
-        let pairs = rs_join(&left, &right, &JoinConfig::new(SetSimilarity::Jaccard, 0.9));
-        assert_eq!(pairs.len(), 1);
-        assert_eq!((pairs[0].left, pairs[0].right), (0, 0));
-        assert_eq!(pairs[0].similarity, 1.0);
-    }
-
-    #[test]
-    fn rs_join_never_pairs_within_one_side() {
-        let left = vec!["same same same".to_string(), "same same same".to_string()];
-        let right = vec!["other words".to_string()];
-        let pairs = rs_join(&left, &right, &JoinConfig::new(SetSimilarity::Jaccard, 0.5));
-        assert!(pairs.is_empty());
+    fn candidates_prune_compared_to_all_pairs() {
+        // 40 records in two well-separated clusters: pruning must kick in.
+        let mut corpus = Vec::new();
+        for i in 0..20 {
+            corpus.push(format!("red apple fruit juice sweet rvariant{i}"));
+            corpus.push(format!("blue car vehicle engine fast bvariant{i}"));
+        }
+        let cfg = JoinConfig::new(SetSimilarity::Jaccard, 0.6);
+        let mut stream = self_join_stream(&corpus, &cfg);
+        let pairs: Vec<(usize, usize)> = stream.by_ref().map(|p| (p.left, p.right)).collect();
+        // The prefix index holds only a fraction of the corpus' tokens.
+        let indexed: usize = stream.index.values().map(Vec::len).sum();
+        let tokens: usize = stream.ordered.iter().map(|r| r.tokens.len()).sum();
+        assert!(indexed < tokens, "prefix filter pruned nothing: {indexed} of {tokens}");
+        // And it still finds the within-cluster near-duplicates.
+        assert!(pairs.contains(&(0, 2)));
     }
 
     #[test]

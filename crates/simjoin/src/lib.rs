@@ -11,10 +11,14 @@
 //! * [`tokenize`] — normalization, word tokens, and q-grams.
 //! * [`similarity`] — Jaccard, Dice, cosine, overlap, and (banded)
 //!   Levenshtein edit distance / similarity.
-//! * [`prefix`] — prefix filtering with a global rare-token-first order, the
-//!   classic index-level optimization for set-similarity joins.
-//! * [`join`] — self-join and R×S join drivers, plus a brute-force oracle
-//!   used by the tests to prove the filter loses no true match.
+//! * [`prefix`] — the global rare-token-first order and prefix length of
+//!   prefix filtering, the classic index-level optimization for
+//!   set-similarity joins.
+//! * [`join`] — the self-join as one lazy generator
+//!   ([`self_join_stream`]) that probes, verifies and extends a prefix
+//!   index record by record; [`self_join`] drains and sorts it. A
+//!   brute-force oracle lets the tests prove the filter loses no true
+//!   match.
 //!
 //! ```
 //! use reprowd_simjoin::join::{self_join, JoinConfig};
@@ -35,5 +39,5 @@ pub mod prefix;
 pub mod similarity;
 pub mod tokenize;
 
-pub use join::{rs_join, self_join, self_join_stream, JoinConfig, SelfJoinStream, SimPair};
+pub use join::{self_join, self_join_stream, JoinConfig, SelfJoinStream, SimPair};
 pub use similarity::SetSimilarity;
